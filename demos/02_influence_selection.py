@@ -14,10 +14,9 @@ is spread evenly.
 import numpy as np
 
 from graphunlearn.datagen import SbmSpec, generate_sbm
-from graphunlearn.graph import PropagationConfig, normalized_adjacency
-from graphunlearn.influence import (feature_influence, khop_hie_capped,
-                                    normalize_influence, select_hie,
-                                    topology_influence)
+from graphunlearn.graph import (PropagationConfig, normalized_adjacency,
+                                propagation_column)
+from graphunlearn.influence import khop_hie_capped, select_hie
 
 spec = SbmSpec(n=120, classes=3, p_in=0.30, p_out=0.004, num_features=8,
                separation=1.5)
@@ -36,22 +35,25 @@ print("seeds to remove:", seeds.tolist(), "(all in community 0)")
 soft = np.full((graph.n, 3), 0.05)
 soft[np.arange(graph.n), graph.labels] = 0.90
 
-topo_rows = np.stack([topology_influence(op, config, int(u)) for u in seeds])
-feat_rows = np.stack([feature_influence(op, config, soft, int(u)) for u in seeds])
-table = normalize_influence(topo_rows, feat_rows, seeds)
+# theta 0, a budget that covers every candidate and a fixed seed set
+# turn the greedy selection into a full ranking by score
+ranking = select_hie(op, config, seeds, soft, theta=0.0,
+                     budget=graph.n - seeds.size, mode="static")
+score = np.zeros(graph.n)
+score[ranking.nodes] = ranking.scores
+# raw mass: the strongest single-seed propagation weight a node receives
+raw = np.max([np.abs(propagation_column(op, config, int(u))) for u in seeds], axis=0)
 
-touched = table.combined[table.combined > 0]
+touched = ranking.scores[ranking.scores > 0]
 print(f"\n{touched.size} candidates receive any influence; "
       f"score quartiles {np.round(np.percentile(touched, [25, 50, 75]), 3).tolist()}, "
       f"{int((touched >= 1.999).sum())} at the single-seed ceiling")
 
-top = np.argsort(table.combined)[::-1][:4]
-mid = np.argsort(table.raw_topology)[::-1][:4]
+top = ranking.nodes[:4]
+heavy = ranking.nodes[np.argsort(raw[ranking.nodes])[::-1][:4]]
 print("top by score, then top by raw mass (node, community, raw, score):")
-for i in list(top) + [j for j in mid if j not in top]:
-    node = int(table.nodes[i])
-    print(f"  {node:4d}  {int(graph.labels[node])}  "
-          f"{table.raw_topology[i]:.4f}  {table.combined[i]:.3f}")
+for node in list(top) + [v for v in heavy if v not in top]:
+    print(f"  {node:4d}  {int(graph.labels[node])}  {raw[node]:.4f}  {score[node]:.3f}")
 print("small-raw nodes can outrank heavy ones: a node kept by a single")
 print("revoked neighbor depends on it entirely, and that is the risk here")
 

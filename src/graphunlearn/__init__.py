@@ -10,21 +10,18 @@ what an attacker can still see (evaluate).
 
 from .errors import (CheckpointError, ConfigError, DataError,
                      GraphUnlearnError, IoError, MaskError, MetricError,
-                     PrototypeError, RequestError, ShapeError, StateError)
+                     PrototypeError, RequestError, ShapeError)
 from .graph import (Graph, PropagationConfig, SparseOperator, build_graph,
                     normalized_adjacency, propagate, propagation_column)
-from .model import (Adam, ModelParams, TrainConfig, forward_embed,
-                    forward_predict, grad_check, init_model, load_checkpoint,
-                    predict, save_checkpoint, train)
-from .influence import (HieSelection, InfluenceTable, feature_influence,
-                        khop_hie, normalize_influence, select_hie,
-                        topology_influence)
+from .model import (Adam, ModelParams, TrainConfig, forward_embed, grad_check,
+                    init_model, load_checkpoint, predict, save_checkpoint,
+                    train)
+from .influence import HieSelection, select_hie
 from .unlearn import (EntityPartition, FinetuneConfig, UnlearnRequest,
                       apply_removal, build_prototypes, contrastive_loss,
                       finetune, forgetting_loss, label_shuffle_loss,
                       mixed_loss, prepare_partition, prototype_loss,
-                      reasoning_loss, retrain, shuffle_labels,
-                      transform_request)
+                      reasoning_loss, shuffle_labels, transform_request)
 from .evaluate import (AttackReport, EdgeAttackReport, auc, edge_attack_run,
                        f1_score, mia_attack)
 from .datagen import SbmSpec, generate_sbm

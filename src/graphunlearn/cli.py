@@ -34,7 +34,7 @@ from .errors import ConfigError, GraphUnlearnError, IoError
 from .evaluate import edge_attack_run, f1_score, mia_attack
 from .fileio import load_graph, save_graph
 from .influence import write_hie_csv
-from .model import load_checkpoint, predict, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .pipeline import (Pipeline, RunConfig, loaded_state, propagate_graph,
                        retrain_state, test_f1, train_state, unlearn_state)
 from .unlearn import (UnlearnRequest, read_request, transform_request,

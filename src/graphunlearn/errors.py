@@ -34,10 +34,6 @@ class PrototypeError(GraphUnlearnError):
     """A class prototype cannot be built (no exemplars)."""
 
 
-class StateError(GraphUnlearnError):
-    """Operation invoked in an invalid pipeline state."""
-
-
 class MetricError(GraphUnlearnError):
     """Metric undefined for the given inputs (empty mask, one class)."""
 

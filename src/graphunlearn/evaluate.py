@@ -9,15 +9,13 @@ cannot tell revoked entities from nodes that were never trained on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import ConfigError, DataError, IoError, MetricError
+from .errors import ConfigError, DataError, MetricError
 from .graph import Graph, build_graph
 from .model import ModelParams, predict
 from .unlearn import UnlearnRequest
@@ -187,12 +185,3 @@ def edge_attack_run(graph: Graph, rho: float, pipeline, seed: int) -> EdgeAttack
                             f1_clean=pipeline.test_f1(clean_state),
                             f1_poisoned=pipeline.test_f1(poisoned_state),
                             f1_unlearned=pipeline.test_f1(unlearned_state))
-
-
-def write_report(report, path) -> None:
-    """Serialize any report dataclass with a to_dict as a JSON document."""
-    try:
-        Path(path).write_text(json.dumps(report.to_dict(), sort_keys=True) + "\n",
-                              encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc

@@ -238,6 +238,8 @@ class PropagationConfig:
     @classmethod
     def s2gc(cls, k: int) -> "PropagationConfig":
         """Uniform average over powers 0..k."""
+        if k < 0:
+            raise ConfigError(f"propagation steps must be nonnegative, got {k}")
         w = [1.0 / (k + 1)] * (k + 1)
         return cls(k=k, scheme="s2gc", weights=tuple(w))
 

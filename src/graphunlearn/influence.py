@@ -9,11 +9,13 @@ aggregated by a max over seeds:
 
     tilde(v, S) = max_{u in S} I(v, u) / sum_{o in S} I(v, o)
 
-The combined score tilde_t + tilde_f lies in [0, 2].  Selection is a
-greedy loop that picks the best-scoring candidate above a threshold
-until the budget runs out; in expanding mode the pick joins the seed
-set before the next round, in static mode the seeds stay the original
-unlearned entities.
+The combined score tilde_t + tilde_f lies in [0, 2].  select_hie keeps
+the max and the sum of both channels as running per-node aggregates,
+so each seed's column is computed once.  Selection is a greedy loop
+that picks the best-scoring candidate above a threshold until the
+budget runs out; in expanding mode the pick joins the seed set before
+the next round, in static mode the seeds stay the original unlearned
+entities.
 """
 
 from __future__ import annotations
@@ -38,69 +40,10 @@ def _check_soft_labels(z: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
-def topology_influence(op: SparseOperator, config: PropagationConfig, u: int) -> np.ndarray:
-    """|Pi[v, u]| for every node v: raw topology influence of seed u."""
-    return np.abs(propagation_column(op, config, u))
-
-
-def feature_influence(op: SparseOperator, config: PropagationConfig,
-                      soft_labels: np.ndarray, u: int) -> np.ndarray:
-    """Topology influence of u weighted by soft-label agreement <Z_v, Z_u>."""
-    z = _check_soft_labels(soft_labels, op.n)
-    return topology_influence(op, config, u) * (z @ z[u])
-
-
-@dataclass(frozen=True)
-class InfluenceTable:
-    """Per-candidate influence scores against one fixed seed set.
-
-    raw_* hold the max over seeds of the unnormalized channel, kept for
-    diagnostics; topology/feature are the normalized per-channel scores
-    in [0, 1]; combined = topology + feature in [0, 2].  Nodes inside
-    the seed set carry no entry.  seed_version counts the seeds the
-    table was computed against.
-    """
-
-    nodes: np.ndarray
-    raw_topology: np.ndarray
-    raw_feature: np.ndarray
-    topology: np.ndarray
-    feature: np.ndarray
-    combined: np.ndarray
-    seed_version: int
-
-
 def _safe_ratio(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     out = np.zeros_like(top)
     np.divide(top, bottom, out=out, where=bottom > 0.0)
     return out
-
-
-def normalize_influence(topology_rows: np.ndarray, feature_rows: np.ndarray,
-                        seeds) -> InfluenceTable:
-    """Fold per-seed raw influence vectors into a normalized table.
-
-    topology_rows/feature_rows are (num_seeds, n) with one raw influence
-    vector per seed.  A node that receives zero total influence scores 0.
-    """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.size == 0:
-        raise ConfigError("seed set must not be empty")
-    topo = np.atleast_2d(np.asarray(topology_rows, dtype=np.float64))
-    feat = np.atleast_2d(np.asarray(feature_rows, dtype=np.float64))
-    if topo.shape != feat.shape or topo.shape[0] != seeds.size:
-        raise ConfigError("per-seed influence rows must align with the seed set")
-    n = topo.shape[1]
-    keep = np.ones(n, dtype=bool)
-    keep[seeds] = False
-    nodes = np.flatnonzero(keep)
-    raw_t = topo.max(axis=0)[nodes]
-    raw_f = feat.max(axis=0)[nodes]
-    tilde_t = _safe_ratio(raw_t, topo.sum(axis=0)[nodes])
-    tilde_f = _safe_ratio(raw_f, feat.sum(axis=0)[nodes])
-    return InfluenceTable(nodes=nodes, raw_topology=raw_t, raw_feature=raw_f,
-                          topology=tilde_t, feature=tilde_f,
-                          combined=tilde_t + tilde_f, seed_version=int(seeds.size))
 
 
 @dataclass(frozen=True)
@@ -158,7 +101,7 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
     max_f = np.zeros(n)
 
     def add_seed(u: int) -> None:
-        col_t = topology_influence(op, config, u)
+        col_t = np.abs(propagation_column(op, config, u))
         col_f = col_t * (z @ z[u])
         np.maximum(max_t, col_t, out=max_t)
         np.maximum(max_f, col_f, out=max_f)
@@ -203,14 +146,6 @@ def bfs_distances(graph: Graph, seeds, max_hops: int | None = None) -> np.ndarra
         dist[nxt] = d
         frontier = nxt
     return dist
-
-
-def khop_hie(graph: Graph, ue, hops: int) -> np.ndarray:
-    """All nodes within 1..hops of the unlearned entities (excluding them)."""
-    if hops < 0:
-        raise ConfigError(f"hop count must be nonnegative, got {hops}")
-    dist = bfs_distances(graph, ue, max_hops=hops)
-    return np.flatnonzero((dist > 0) & (dist <= hops))
 
 
 def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> np.ndarray:

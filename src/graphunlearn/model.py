@@ -120,14 +120,6 @@ def forward_embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return forward_cache(params, x)[1]
 
 
-def forward_predict(params: ModelParams, emb: np.ndarray) -> np.ndarray:
-    """Soft labels from embeddings; rows are nonnegative and sum to one."""
-    emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
-    if params.mode == "linear":
-        return softmax(emb)
-    return softmax(emb @ params.w_pre + params.b_pre)
-
-
 def logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Pre-softmax scores straight from input features."""
     return forward_cache(params, x)[2]

@@ -144,6 +144,8 @@ class RunConfig:
             raise ConfigError("nim.budget must be nonnegative")
         if self.budget_multiplier < 0:
             raise ConfigError("nim.budget_multiplier must be nonnegative")
+        if self.khop < 0:
+            raise ConfigError(f"nim.khop must be nonnegative, got {self.khop}")
         if self.attack not in ("mia", "edge"):
             raise ConfigError(f"eval.attack must be 'mia' or 'edge', got {self.attack!r}")
         for rho in self.rho:
@@ -216,9 +218,7 @@ def loaded_state(graph: Graph, cfg: RunConfig, params: ModelParams) -> PipelineS
 
 def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
     """Propagate once, then fit the head on the training nodes."""
-    prop = cfg.propagation_config()
-    op = normalized_adjacency(graph, cfg.r)
-    x_tilde = propagate(op, graph.features, prop)
+    op, x_tilde = propagate_graph(graph, cfg)
     classes = graph.num_classes
     fresh = init_model(graph.num_features, cfg.hidden, classes, mode=cfg.mode, seed=seed)
     params, history = train(fresh, x_tilde, graph.labels, graph.train_mask,
@@ -246,8 +246,7 @@ def unlearn_state(state: PipelineState, request: UnlearnRequest,
     hie, selection = select_influenced(state, ue, cfg)
 
     graph_after = apply_removal(state.graph, request)
-    op_after = normalized_adjacency(graph_after, cfg.r)
-    x_after = propagate(op_after, graph_after.features, cfg.propagation_config())
+    op_after, x_after = propagate_graph(graph_after, cfg)
 
     partition = prepare_partition(
         graph_after, x_after, ue, hie, state.soft, state.params,

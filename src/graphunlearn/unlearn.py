@@ -38,11 +38,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (ConfigError, DataError, IoError, PrototypeError,
-                     RequestError, StateError)
-from .graph import Graph, PropagationConfig, build_graph, normalized_adjacency, propagate
-from .model import (Adam, ModelParams, TrainConfig, backprop_cached,
-                    backprop_from_logits, forward_cache, forward_embed,
-                    init_model, logits, predict, softmax, train,
+                     RequestError)
+from .graph import Graph, build_graph
+from .model import (Adam, ModelParams, backprop_cached, backprop_from_logits,
+                    forward_cache, forward_embed, logits, predict, softmax,
                     zeros_like_params)
 
 REQUEST_KINDS = ("feature", "node", "edge")
@@ -315,19 +314,12 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray):
     return (b @ a) / denom, na, nb
 
 
-def _require_cache(partition: EntityPartition, *names) -> None:
-    for name in names:
-        if getattr(partition, name) is None:
-            raise StateError(f"partition cache {name!r} was never prepared")
-
-
 def label_shuffle_loss(params: ModelParams, partition: EntityPartition):
     """Summed CE of UE predictions against the per-run shuffled labels.
 
     The predictions are taken on the cached pre-removal rows: that is
     the imprint being erased.
     """
-    _require_cache(partition, "ue_train_rows", "shuffled_labels")
     x_ue = partition.ue_train_rows
     rows = np.arange(partition.ue.size)
     p = softmax(logits(params, x_ue))
@@ -340,7 +332,6 @@ def label_shuffle_loss(params: ModelParams, partition: EntityPartition):
 
 def prototype_loss(params: ModelParams, partition: EntityPartition):
     """Summed distance of each UE embedding to its assigned foreign prototype."""
-    _require_cache(partition, "ue_train_rows", "ue_prototype")
     x_ue = partition.ue_train_rows
     emb = forward_embed(params, x_ue)
     diff = emb - partition.ue_prototype
@@ -362,7 +353,6 @@ def contrastive_loss(params: ModelParams, partition: EntityPartition,
     without positives are skipped.  UE rows come from the partition
     cache, everything else from the post-removal features.
     """
-    _require_cache(partition, "ue_train_rows")
     grads = zeros_like_params(params)
     if partition.hie.size == 0:
         return 0.0, grads
@@ -432,7 +422,6 @@ def forgetting_loss(params: ModelParams, partition: EntityPartition,
 def reasoning_loss(params: ModelParams, partition: EntityPartition,
                    x_after: np.ndarray, l2_coef: float = 5e-4):
     """L2 weight penalty plus KL(original soft labels || current) on HIE."""
-    _require_cache(partition, "memory")
     grads = zeros_like_params(params)
     l2 = 0.0
     for name, arr in params.items():
@@ -677,20 +666,3 @@ def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarra
         entry.update({k: float(v) for k, v in parts.items()})
         log.epochs.append(entry)
     return params, log
-
-
-def retrain(graph_after: Graph, prop_config: PropagationConfig, r: float,
-            mode: str, hidden: int, train_cfg: TrainConfig,
-            num_classes: int | None = None):
-    """Train a fresh model on the post-removal graph (the slow oracle).
-
-    Returns (params, per-epoch losses, propagated features).
-    """
-    op = normalized_adjacency(graph_after, r)
-    x_tilde = propagate(op, graph_after.features, prop_config)
-    classes = num_classes if num_classes is not None else graph_after.num_classes
-    fresh = init_model(graph_after.num_features, hidden, classes,
-                       mode=mode, seed=train_cfg.seed)
-    params, history = train(fresh, x_tilde, graph_after.labels,
-                            graph_after.train_mask, train_cfg)
-    return params, history, x_tilde

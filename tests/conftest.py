@@ -118,3 +118,23 @@ def walk_pi_matrix(graph: Graph, weights):
     for v in range(n):
         walk(v, v, 0, 1.0)
     return pi
+
+
+def influence_oracle(pi, soft, seeds):
+    """Combined influence score of every node against the seed set S.
+
+    pi is a dense propagation matrix (dense_pi or walk_pi_matrix).  Each
+    channel is max over S of the per-seed influence divided by its sum
+    over S, 0 where nothing arrives: the topology channel reads |Pi[:, S]|,
+    the feature channel |Pi[:, S]| * (Z Z[S]^T).  Seed rows are scored
+    like any other node; callers mask them.
+    """
+    seeds = np.asarray(seeds, dtype=np.int64)
+    topology = np.abs(pi[:, seeds])
+    feature = topology * (soft @ soft[seeds].T)
+    score = np.zeros(pi.shape[0])
+    for channel in (topology, feature):
+        total = channel.sum(axis=1)
+        reached = total > 0.0
+        score[reached] += channel.max(axis=1)[reached] / total[reached]
+    return score

@@ -201,6 +201,29 @@ def test_unknown_config_key_fails_with_error_line(tmp_path, capsys):
     assert "nim.thetaa" in err
 
 
+def test_negative_propagation_steps_fail_train_with_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"propagation.k": -1})
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    assert run("train", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConfigError")
+    assert err.count("\n") == 1
+
+
+def test_negative_khop_is_rejected_with_error_line(tmp_path, capsys):
+    good = write_config(tmp_path, {"nim.method": "khop"})
+    out = tmp_path / "run"
+    assert run("gen", good, out) == 0
+    assert run("train", good, out) == 0
+    capsys.readouterr()
+    bad = write_config(tmp_path, {"nim.method": "khop", "nim.khop": -1}, name="bad.json")
+    assert run("unlearn", bad, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConfigError")
+    assert "nim.khop" in err and err.count("\n") == 1
+
+
 def test_bad_seed_range_and_missing_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run("train", cfg, tmp_path / "run", seeds="5..2") == 1

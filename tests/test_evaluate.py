@@ -6,9 +6,8 @@ import pytest
 from graphunlearn.errors import ConfigError, DataError, MetricError
 from graphunlearn.evaluate import (auc, edge_attack_run, f1_score, mia_attack,
                                    posterior_attack_scores,
-                                   sample_noise_edges, write_report)
+                                   sample_noise_edges)
 from graphunlearn.model import ModelParams
-from graphunlearn import pipeline as pl
 from graphunlearn.pipeline import Pipeline, RunConfig
 from graphunlearn.datagen import SbmSpec, generate_sbm
 
@@ -249,13 +248,11 @@ def test_edge_attack_report_and_clean_graph_untouched():
 
 # --------------------------------------------------------------------- reports
 
-def test_write_report_round_trips(tmp_path):
+def test_attack_report_to_dict_round_trips_json():
     params = linear_model_with_columns(np.zeros((2, 2)))
     x = np.zeros((10, 2))
     rep = mia_attack(params, x, [0, 1], np.arange(2, 10), seed=0)
-    path = tmp_path / "attack.json"
-    write_report(rep, path)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
     assert data["auc"] == pytest.approx(0.5)
     assert data["member_count"] == 2
     assert set(data) == {"auc", "member_count", "non_member_count",

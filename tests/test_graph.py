@@ -148,6 +148,8 @@ def test_sgc_weights():
 def test_s2gc_weights():
     cfg = PropagationConfig.s2gc(3)
     assert cfg.weights == (0.25, 0.25, 0.25, 0.25)
+    with pytest.raises(ConfigError):
+        PropagationConfig.s2gc(-1)
 
 
 def test_gbp_weights():

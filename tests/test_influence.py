@@ -4,12 +4,11 @@ import pytest
 from graphunlearn.errors import ConfigError, DataError
 from graphunlearn.graph import PropagationConfig, normalized_adjacency
 from graphunlearn.influence import (HieSelection, bfs_distances,
-                                    feature_influence, khop_hie,
-                                    khop_hie_capped, normalize_influence,
-                                    select_hie, topology_influence,
+                                    khop_hie_capped, select_hie,
                                     write_hie_csv)
 
-from conftest import dense_pi, make_graph, random_connected_graph, walk_pi_matrix
+from conftest import (dense_pi, influence_oracle, make_graph,
+                      random_connected_graph, walk_pi_matrix)
 
 
 def one_hot(labels, c):
@@ -18,72 +17,79 @@ def one_hot(labels, c):
     return z
 
 
+def rank_all(op, cfg, ue, z):
+    """Every candidate in pick order, scored against the fixed seed set."""
+    return select_hie(op, cfg, ue, z, theta=0.0, budget=op.n - np.unique(ue).size,
+                      mode="static")
+
+
 # ----------------------------------------------------------- topology channel
 
 def test_topology_influence_path3_one_step():
+    # columns of S on the path: Pi[:, 0] = [1/2, 1/3, 0], Pi[:, 2] = [0, 1/3, 1/2];
+    # node 1 gets max 1/3 over sum 2/3 per channel
     g = make_graph(3, [(0, 1), (1, 2)])
     op = normalized_adjacency(g, r=1.0)
-    col = topology_influence(op, PropagationConfig.sgc(1), 0)
-    assert np.allclose(col, [0.5, 1.0 / 3.0, 0.0], atol=1e-15)
+    sel = select_hie(op, PropagationConfig.sgc(1), [0, 2], one_hot([0, 0, 0], 1),
+                     theta=0.0, budget=1, mode="static")
+    assert list(sel.nodes) == [1]
+    assert sel.scores[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_topology_influence_unreachable_is_zero():
     g = make_graph(4, [(0, 1)])  # 2, 3 disconnected from 0
     op = normalized_adjacency(g, r=1.0)
-    col = topology_influence(op, PropagationConfig.s2gc(3), 0)
-    assert col[2] == 0.0 and col[3] == 0.0
-    assert col[0] > 0.0 and col[1] > 0.0
+    sel = rank_all(op, PropagationConfig.s2gc(3), [0], one_hot([0, 0, 0, 0], 1))
+    assert list(sel.nodes) == [1, 2, 3]
+    assert list(sel.scores) == [2.0, 0.0, 0.0]
 
 
 def test_topology_influence_matches_walk_enumeration():
+    rng = np.random.default_rng(0)
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     cfg = PropagationConfig.s2gc(2)
     op = normalized_adjacency(g, r=1.0)
     pi = walk_pi_matrix(g, cfg.weights)
-    for u in (0, 2):
-        assert np.allclose(topology_influence(op, cfg, u), np.abs(pi[:, u]),
+    z = rng.dirichlet(np.ones(3), size=5)
+    for ue in ([0], [2], [0, 4], [1, 2]):
+        sel = rank_all(op, cfg, ue, z)
+        assert np.allclose(sel.scores, influence_oracle(pi, z, ue)[sel.nodes],
                            atol=1e-12)
 
 
 # ------------------------------------------------------------ feature channel
 
 def test_feature_influence_one_hot_same_class_equals_topology():
+    # shared labels make both channels 0.5 at node 1 (see the path3 case)
     g = make_graph(3, [(0, 1), (1, 2)])
     op = normalized_adjacency(g, r=1.0)
     cfg = PropagationConfig.sgc(1)
-    z = one_hot([1, 1, 1], 3)
-    assert np.allclose(feature_influence(op, cfg, z, 0),
-                       topology_influence(op, cfg, 0))
+    sel = select_hie(op, cfg, [0, 2], one_hot([1, 1, 1], 3), theta=0.0,
+                     budget=1, mode="static")
+    assert sel.scores[0] == pytest.approx(2 * 0.5, abs=1e-15)
 
 
 def test_feature_influence_different_class_is_zero():
     g = make_graph(3, [(0, 1), (1, 2)])
     op = normalized_adjacency(g, r=1.0)
     cfg = PropagationConfig.sgc(1)
-    z = one_hot([0, 1, 2], 3)
-    fi = feature_influence(op, cfg, z, 0)
-    assert fi[1] == 0.0 and fi[2] == 0.0
+    sel = rank_all(op, cfg, [0], one_hot([0, 1, 2], 3))
+    # node 1 is reached but shares no class with the seed: topology only
+    assert list(sel.nodes) == [1, 2]
+    assert list(sel.scores) == [1.0, 0.0]
 
 
 def test_feature_influence_uniform_labels_scale():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    op = normalized_adjacency(g, r=1.0)
-    cfg = PropagationConfig.sgc(1)
-    z = np.full((3, 4), 0.25)
-    assert np.allclose(feature_influence(op, cfg, z, 0),
-                       topology_influence(op, cfg, 0) / 4.0)
-
-
-def test_feature_influence_never_exceeds_topology():
-    rng = np.random.default_rng(0)
-    g = make_graph(7, random_connected_graph(rng, 7))
+    # uniform labels scale every feature column by 1/4, which the
+    # per-node normalization cancels
+    rng = np.random.default_rng(1)
+    g = make_graph(8, random_connected_graph(rng, 8, extra_edges=3))
     op = normalized_adjacency(g, r=0.5)
-    cfg = PropagationConfig.s2gc(3)
-    z = rng.dirichlet(np.ones(4), size=7)
-    for u in range(7):
-        fi = feature_influence(op, cfg, z, u)
-        ti = topology_influence(op, cfg, u)
-        assert (fi <= ti + 1e-12).all()
+    cfg = PropagationConfig.s2gc(2)
+    uniform = rank_all(op, cfg, [0, 5], np.full((8, 4), 0.25))
+    shared = rank_all(op, cfg, [0, 5], one_hot([0] * 8, 4))
+    assert np.array_equal(uniform.nodes, shared.nodes)
+    assert np.allclose(uniform.scores, shared.scores, atol=1e-15)
 
 
 def test_feature_influence_rejects_bad_soft_labels():
@@ -91,55 +97,45 @@ def test_feature_influence_rejects_bad_soft_labels():
     op = normalized_adjacency(g, r=1.0)
     cfg = PropagationConfig.sgc(1)
     with pytest.raises(DataError):
-        feature_influence(op, cfg, np.ones((3, 2)), 0)  # rows sum to 2
+        select_hie(op, cfg, [0], np.ones((3, 2)), theta=0.0, budget=1)  # rows sum to 2
     with pytest.raises(DataError):
-        feature_influence(op, cfg, np.full((2, 3), 1 / 3), 0)  # wrong n
+        select_hie(op, cfg, [0], np.full((2, 3), 1 / 3), theta=0.0, budget=1)  # wrong n
 
 
 # ---------------------------------------------------------------- normalization
 
 def test_normalize_single_seed_reachable_scores_one():
     # with one seed, every node that receives any influence gets ratio 1
-    topo = np.array([[0.5, 0.3, 0.0, 0.2]])
-    feat = np.array([[0.25, 0.3, 0.0, 0.1]])
-    table = normalize_influence(topo, feat, seeds=[0])
-    assert list(table.nodes) == [1, 2, 3]
-    assert np.allclose(table.topology, [1.0, 0.0, 1.0])
-    assert np.allclose(table.feature, [1.0, 0.0, 1.0])
-    assert np.allclose(table.combined, [2.0, 0.0, 2.0])
-    assert table.seed_version == 1
+    # in both channels
+    rng = np.random.default_rng(2)
+    g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
+    op = normalized_adjacency(g, r=0.5)
+    sel = rank_all(op, PropagationConfig.s2gc(2), [0], rng.dirichlet(np.ones(3), size=5))
+    assert list(sel.nodes) == [1, 2, 3, 4]
+    assert np.allclose(sel.scores, [2.0, 2.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_normalize_max_over_seeds_and_ratio():
-    topo = np.array([[0.0, 0.0, 0.6, 0.2],
-                     [0.0, 0.0, 0.2, 0.2]])
-    feat = topo / 2.0
-    table = normalize_influence(topo, feat, seeds=[0, 1])
-    assert list(table.nodes) == [2, 3]
-    # node 2: max 0.6 over sum 0.8; node 3: max 0.2 over sum 0.4
-    assert np.allclose(table.topology, [0.75, 0.5])
-    assert np.allclose(table.feature, [0.75, 0.5])
-    assert np.allclose(table.raw_topology, [0.6, 0.2])
-    assert table.seed_version == 2
+    rng = np.random.default_rng(3)
+    g = make_graph(9, random_connected_graph(rng, 9, extra_edges=4))
+    cfg = PropagationConfig.gbp(3, 0.4)
+    op = normalized_adjacency(g, r=0.5)
+    pi = dense_pi(g, 0.5, cfg.weights)
+    z = rng.dirichlet(np.ones(3), size=9)
+    sel = rank_all(op, cfg, [1, 4, 6], z)
+    assert np.allclose(sel.scores, influence_oracle(pi, z, [1, 4, 6])[sel.nodes],
+                       atol=1e-12)
 
 
 def test_normalize_bounds_hold():
     rng = np.random.default_rng(1)
-    topo = rng.uniform(0, 1, size=(4, 10))
-    feat = topo * rng.uniform(0, 1, size=(4, 10))
-    table = normalize_influence(topo, feat, seeds=[0, 1, 2, 3])
-    assert (table.topology >= 0).all() and (table.topology <= 1 + 1e-12).all()
-    assert (table.feature >= 0).all() and (table.feature <= 1 + 1e-12).all()
-    assert (table.combined <= 2 + 1e-12).all()
-
-
-def test_normalize_validation():
-    with pytest.raises(ConfigError):
-        normalize_influence(np.ones((1, 3)), np.ones((1, 3)), seeds=[])
-    with pytest.raises(ConfigError):
-        normalize_influence(np.ones((2, 3)), np.ones((1, 3)), seeds=[0, 1])
-    with pytest.raises(ConfigError):
-        normalize_influence(np.ones((1, 3)), np.ones((1, 3)), seeds=[0, 1])
+    g = make_graph(10, random_connected_graph(rng, 10, extra_edges=5))
+    op = normalized_adjacency(g, r=0.5)
+    z = rng.dirichlet(np.ones(4), size=10)
+    sel = select_hie(op, PropagationConfig.s2gc(3), [0, 1, 2, 3], z, theta=0.0,
+                     budget=6, mode="expanding")
+    assert sel.nodes.size == 6
+    assert (sel.scores >= 0).all() and (sel.scores <= 2 + 1e-12).all()
 
 
 # ------------------------------------------------------------------- selection
@@ -205,7 +201,7 @@ def test_select_deterministic_and_prefix_property():
 
 
 def test_select_matches_budget_one_table_argmax():
-    # one-round selection must agree with the standalone influence table
+    # one-round selection must agree with the dense oracle's argmax
     rng = np.random.default_rng(3)
     for trial in range(5):
         g = make_graph(10, random_connected_graph(rng, 10, extra_edges=4))
@@ -213,11 +209,10 @@ def test_select_matches_budget_one_table_argmax():
         cfg = PropagationConfig.s2gc(3)
         z = rng.dirichlet(np.ones(3), size=10)
         ue = [int(rng.integers(0, 10)), int(rng.integers(0, 10))]
-        topo = np.stack([topology_influence(op, cfg, u) for u in np.unique(ue)])
-        feat = np.stack([feature_influence(op, cfg, z, u) for u in np.unique(ue)])
-        table = normalize_influence(topo, feat, seeds=np.unique(ue))
-        best_score = table.combined.max()
-        best_node = int(table.nodes[np.abs(table.combined - best_score) < 1e-15].min())
+        combined = influence_oracle(dense_pi(g, 1.0, cfg.weights), z, np.unique(ue))
+        combined[ue] = -1.0
+        best_score = combined.max()
+        best_node = int(np.flatnonzero(np.abs(combined - best_score) < 1e-15).min())
         sel = select_hie(op, cfg, ue, z, theta=0.0, budget=1)
         assert list(sel.nodes) == [best_node]
         assert abs(sel.scores[0] - best_score) < 1e-12
@@ -260,15 +255,13 @@ def test_bfs_distances_path():
 
 def test_khop_path_two_hops():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert list(khop_hie(g, [0], 2)) == [1, 2]
+    assert list(khop_hie_capped(g, [0], 2, budget=g.n)) == [1, 2]
 
 
 def test_khop_excludes_seeds_and_respects_reachability():
     g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
-    got = khop_hie(g, [0], 4)
+    got = khop_hie_capped(g, [0], 4, budget=g.n)
     assert list(got) == [1, 2]  # 3, 4 in another component
-    with pytest.raises(ConfigError):
-        khop_hie(g, [0], -1)
 
 
 def test_khop_capped_prefers_closer_then_smaller_id():

@@ -3,7 +3,7 @@ import pytest
 
 from graphunlearn.errors import CheckpointError, ConfigError, DataError, ShapeError
 from graphunlearn.model import (ModelParams, TrainConfig, backprop_from_logits,
-                                cross_entropy, forward_embed, forward_predict,
+                                cross_entropy, forward_embed,
                                 grad_check, init_model, load_checkpoint, logits,
                                 predict, save_checkpoint, softmax, train)
 
@@ -90,10 +90,10 @@ def test_forward_predict_rows_sum_to_one():
     for mode in ("linear", "mlp"):
         p = small_model(mode)
         x = np.random.default_rng(4).standard_normal((6, 4))
-        soft = forward_predict(p, forward_embed(p, x))
+        soft = predict(p, x)
         assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-12)
         assert (soft >= 0).all()
-        assert np.allclose(soft, predict(p, x), atol=1e-15)
+        assert np.allclose(soft, softmax(logits(p, x)), atol=1e-15)
 
 
 def test_forward_rejects_wrong_width():

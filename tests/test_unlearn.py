@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from graphunlearn.errors import (ConfigError, DataError, PrototypeError,
-                                 RequestError, StateError)
+                                 RequestError)
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.model import (ModelParams, TrainConfig, forward_embed,
                                 grad_check, init_model, predict, train)
@@ -15,8 +13,9 @@ from graphunlearn.unlearn import (EntityPartition, FinetuneConfig,
                                   gather_working_set, label_shuffle_loss,
                                   mixed_loss, prepare_partition,
                                   prototype_loss, read_request, reasoning_loss,
-                                  retrain, shuffle_labels, transform_request,
+                                  shuffle_labels, transform_request,
                                   write_request)
+from graphunlearn.pipeline import RunConfig, retrain_state
 
 from conftest import make_graph
 
@@ -363,21 +362,6 @@ def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
     assert parts["kl"] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
-def test_state_guards_fire_on_unprepared_caches():
-    part, params, x_after = toy_partition()
-    part.memory = None
-    with pytest.raises(StateError):
-        reasoning_loss(params, part, x_after)
-    part2, _, _ = toy_partition()
-    part2.ue_train_rows = None
-    with pytest.raises(StateError):
-        label_shuffle_loss(params, part2)
-    with pytest.raises(StateError):
-        prototype_loss(params, part2)
-    with pytest.raises(StateError):
-        contrastive_loss(params, part2, x_after)
-
-
 # ------------------------------------------------------------- gradient checks
 
 def test_every_loss_term_passes_fd_check_both_modes():
@@ -543,12 +527,16 @@ def test_finetune_first_epoch_reasoning_starts_at_weight_penalty():
 # --------------------------------------------------------------------- retrain
 
 def test_retrain_matches_manual_training_route():
-    g, op, cfg, x, _ = pipeline_fixture(seed=5)
-    t_cfg = TrainConfig(epochs=30, seed=5)
-    params, history, x_tilde = retrain(g, cfg, 0.5, "mlp", 6, t_cfg)
-    fresh = init_model(g.num_features, 6, g.num_classes, mode="mlp", seed=5)
-    expect, expect_hist = train(fresh, x, g.labels, g.train_mask, t_cfg)
-    assert np.array_equal(x_tilde, x)
-    assert history == expect_hist
-    for (_, a), (_, b) in zip(params.items(), expect.items()):
+    g, _, cfg, _, _ = pipeline_fixture(seed=5)
+    request = UnlearnRequest(kind="node", nodes=(0, 3))
+    run = RunConfig(k=2, scheme="s2gc", r=0.5, mode="mlp", hidden=6, epochs=30)
+    state = retrain_state(g, request, run, seed=5)
+    after = apply_removal(g, request)
+    x = propagate(normalized_adjacency(after, 0.5), after.features, cfg)
+    fresh = init_model(after.num_features, 6, after.num_classes, mode="mlp", seed=5)
+    expect, expect_hist = train(fresh, x, after.labels, after.train_mask,
+                                run.train_config(5))
+    assert np.array_equal(state.x_tilde, x)
+    assert state.history == expect_hist
+    for (_, a), (_, b) in zip(state.params.items(), expect.items()):
         assert np.array_equal(a, b)
