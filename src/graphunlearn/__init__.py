@@ -18,10 +18,8 @@ from .model import (Adam, ModelParams, TrainConfig, forward_embed, grad_check,
                     train)
 from .influence import HieSelection, select_hie
 from .unlearn import (EntityPartition, FinetuneConfig, UnlearnRequest,
-                      apply_removal, build_prototypes, contrastive_loss,
-                      finetune, forgetting_loss, label_shuffle_loss,
-                      mixed_loss, prepare_partition, prototype_loss,
-                      reasoning_loss, shuffle_labels, transform_request)
+                      apply_removal, build_prototypes, finetune,
+                      prepare_partition, shuffle_labels, transform_request)
 from .evaluate import (AttackReport, EdgeAttackReport, auc, edge_attack_run,
                        f1_score, mia_attack)
 from .datagen import SbmSpec, generate_sbm

@@ -48,7 +48,7 @@ def f1_score(pred_labels, true_labels, mask) -> float:
 
 
 def posterior_attack_scores(soft: np.ndarray) -> np.ndarray:
-    """Default attack feature: max posterior plus negative entropy."""
+    """Attack feature per row: max posterior plus negative entropy."""
     soft = np.atleast_2d(np.asarray(soft, dtype=np.float64))
     safe = np.maximum(soft, 1e-300)
     entropy = -(safe * np.log(safe)).sum(axis=1)
@@ -75,16 +75,13 @@ class AttackReport:
 
 
 def mia_attack(params: ModelParams, x_probe: np.ndarray, ue,
-               non_member_pool, seed: int, score_fn=None) -> AttackReport:
+               non_member_pool, seed: int) -> AttackReport:
     """Membership inference against the given model.
 
     Members are the unlearned entities; non-members are an equal-size
     seeded sample from the pool (nodes the model never trained on).
     x_probe holds the propagated rows the attacker queries with, which
     for revoked entities is the data as it looked before removal.
-
-    score_fn may swap in a stronger externally computed attack: it maps
-    the (rows, classes) posterior matrix to one score per row.
     """
     ue = np.unique(np.asarray(ue, dtype=np.int64))
     pool = np.unique(np.asarray(non_member_pool, dtype=np.int64))
@@ -98,15 +95,13 @@ def mia_attack(params: ModelParams, x_probe: np.ndarray, ue,
 
     probes = np.concatenate([ue, non_members])
     soft = predict(params, np.asarray(x_probe, dtype=np.float64)[probes])
-    scorer = score_fn if score_fn is not None else posterior_attack_scores
-    scores = np.asarray(scorer(soft), dtype=np.float64)
+    scores = posterior_attack_scores(soft)
     labels = np.concatenate([np.ones(ue.size, bool), np.zeros(non_members.size, bool)])
     return AttackReport(
         auc=auc(scores, labels),
         member_count=int(ue.size), non_member_count=int(non_members.size),
         member_scores={int(v): float(s) for v, s in zip(ue, scores[:ue.size])},
-        non_member_scores={int(v): float(s) for v, s in zip(non_members, scores[ue.size:])},
-        score_feature="max posterior + negative entropy" if score_fn is None else "external")
+        non_member_scores={int(v): float(s) for v, s in zip(non_members, scores[ue.size:])})
 
 
 @dataclass

@@ -154,6 +154,8 @@ def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> np.ndarray:
     Within one hop level nodes are taken in id order.  This keeps the
     naive neighborhood baseline comparable to a budgeted greedy run.
     """
+    if budget < 0:
+        raise ConfigError(f"budget must be nonnegative, got {budget}")
     dist = bfs_distances(graph, ue, max_hops=hops)
     inside = np.flatnonzero((dist > 0) & (dist <= hops))
     order = np.lexsort((inside, dist[inside]))

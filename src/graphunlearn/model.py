@@ -151,14 +151,6 @@ def backprop_cached(params: ModelParams, x: np.ndarray, z1, emb: np.ndarray,
     return grads
 
 
-def backprop_from_logits(params: ModelParams, x: np.ndarray, dlogits: np.ndarray,
-                         demb: np.ndarray | None = None) -> dict:
-    """Push gradients at the logits (and optionally at the embedding) back
-    onto the parameters.  x must be the same rows the forward pass saw."""
-    z1, emb, _ = forward_cache(params, x)
-    return backprop_cached(params, x, z1, emb, dlogits, demb)
-
-
 def cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the given rows, with parameter gradients.
 

@@ -27,6 +27,16 @@ from .unlearn import (EntityPartition, FinetuneConfig, FinetuneLog,
                       prepare_partition, transform_request)
 
 
+def _fits(kind: str, value) -> bool:
+    """Whether a config value fits a RunConfig field annotated `kind`."""
+    if kind == "tuple":
+        return isinstance(value, (list, tuple)) and all(_fits("float", v) for v in value)
+    if kind == "Optional[int]" and value is None:
+        return True
+    types = {"str": str, "int": int, "Optional[int]": int, "float": (int, float)}[kind]
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; JSON files use dotted keys per field.
@@ -113,15 +123,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Config from dotted keys; a value must fit its field's type.
+
+        int fields take integers (not booleans), float fields any number,
+        and list fields lists of numbers; eval.rho also takes one number.
+        """
+        kinds = {f.name: f.type for f in dc_fields(cls)}
         kwargs = {}
         for key, value in doc.items():
             if key not in cls._KEYMAP:
                 raise ConfigError(f"unknown config key {key!r}")
             name = cls._KEYMAP[key]
-            if name in ("weights",):
+            if name == "rho" and _fits("float", value):
+                value = [value]
+            if not _fits(kinds[name], value):
+                expected = {"str": "a string", "int": "an int", "float": "a number",
+                            "Optional[int]": "an int or null",
+                            "tuple": "a list of numbers"}[kinds[name]]
+                raise ConfigError(f"{key} must be {expected}, got {value!r}")
+            if kinds[name] == "tuple":
                 value = tuple(float(v) for v in value)
-            if name == "rho":
-                value = tuple(float(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
             kwargs[name] = value
         cfg = cls(**kwargs)
         cfg.validate()

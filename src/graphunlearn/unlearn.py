@@ -4,28 +4,44 @@ A request names training entities (feature rows, nodes, or edges) to
 revoke.  Removal never renumbers nodes: edges disappear, feature rows
 are zeroed, removed nodes drop out of the training mask.
 
-Fine-tuning mixes two objectives over a small working set:
+Fine-tuning minimizes one objective over a small working set,
+
+    L = lam * (label + prototype + contrastive) + (1 - lam) * (l2 + kl)
+
+with p(x) the softmax of the logits and e(x) the embedding of a row:
 
   forgetting (on the unlearned entities UE and the selected HIE)
-    * cross-entropy of UE predictions against per-run shuffled labels
-    * distance of each UE embedding to a random foreign-class prototype
-    * a contrastive term that pulls every HIE anchor toward same-label
-      nodes outside the working set and away from UE/HIE
+    label        sum over u in UE of -log p(x_u)[shuffled label of u],
+                 a uniform random wrong class drawn once per run
+    prototype    sum over u in UE of |e(x_u) - prototype of u|, the
+                 original model's mean embedding of a random other class
+                 over the labeled training nodes outside UE and HIE
+    contrastive  sum over HIE anchors a with sampled positives P_a and
+                 negatives N_a of
+                     log sum_{b in P_a + N_a} exp(cos(e_a, e_b) / tau)
+                   - log sum_{b in P_a} exp(cos(e_a, e_b) / tau)
+                 where P_a are same-label nodes outside the working set
+                 and N_a are UE/HIE nodes; anchors without positives
+                 are skipped
 
   reasoning (keeps the rest of the model intact)
-    * an L2 penalty on all parameters
-    * KL between the original model's soft labels on HIE and the
-      current ones
+    l2           l2_coef times the sum of every squared parameter
+    kl           sum over h in HIE of KL(original soft labels of h ||
+                 p(x_h))
+
+The label term clamps probabilities below at 1e-300 and the KL term at
+1e-12.  An embedding whose norm is at most 1e-12 has no direction: its
+prototype distance and its cosines add nothing to the gradient, and an
+all-zero embedding has cosine 0 with every row.  At lam = 1 and lam = 0
+the other half is neither computed nor reported.
 
 The UE rows that the forgetting terms read are the propagated rows the
 entities contributed while training, cached in the partition before
 removal; everything else reads the post-removal propagated features.
 The per-step work therefore touches only UE, HIE and the sampled
-positives/negatives, never the whole graph.
-
-The per-term functions and mixed_loss are the reference definitions.
-finetune gathers the working-set rows once (gather_working_set) and runs
-every epoch as one forward and one backward pass over them (fused_loss).
+positives/negatives, never the whole graph: finetune gathers those rows
+once (gather_working_set) and runs every epoch as one forward and one
+backward pass over them (fused_loss).
 """
 
 from __future__ import annotations
@@ -40,9 +56,8 @@ import scipy.sparse as sp
 from .errors import (ConfigError, DataError, IoError, PrototypeError,
                      RequestError)
 from .graph import Graph, build_graph
-from .model import (Adam, ModelParams, backprop_cached, backprop_from_logits,
-                    forward_cache, forward_embed, logits, predict, softmax,
-                    zeros_like_params)
+from .model import (Adam, ModelParams, backprop_cached, forward_cache,
+                    forward_embed, predict, softmax)
 
 REQUEST_KINDS = ("feature", "node", "edge")
 
@@ -209,9 +224,6 @@ class EntityPartition:
     shuffled_labels: np.ndarray     # aligned with ue
     ue_train_rows: np.ndarray       # (|ue|, f) pre-removal propagated rows
     ue_prototype: np.ndarray        # (|ue|, d) assigned foreign prototypes
-    prototypes: np.ndarray          # (classes, d)
-    prototype_present: np.ndarray
-    anchor_labels: np.ndarray       # predicted label per HIE anchor
     positives: list                 # per anchor: node ids in rest
     negatives: list                 # per anchor: node ids in ue or hie
     memory: np.ndarray              # (|hie|, classes) original soft labels
@@ -277,9 +289,8 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
 
     predicted = np.argmax(original_soft, axis=1)
     pool_neg = np.concatenate([ue, hie])
-    anchor_labels = predicted[hie]
     positives, negatives = [], []
-    for a, lab in zip(hie, anchor_labels):
+    for a, lab in zip(hie, predicted[hie]):
         positives.append(_sample_pool(rng, rest, predicted[rest], int(lab),
                                       positives_per_anchor))
         others = pool_neg[pool_neg != a]
@@ -294,179 +305,8 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     return EntityPartition(n=n, ue=ue, hie=hie, rest=rest,
                            shuffled_labels=shuffled,
                            ue_train_rows=np.asarray(x_before, dtype=np.float64)[ue],
-                           ue_prototype=ue_proto, prototypes=protos,
-                           prototype_present=present,
-                           anchor_labels=anchor_labels,
-                           positives=positives, negatives=negatives,
+                           ue_prototype=ue_proto, positives=positives, negatives=negatives,
                            memory=memory)
-
-
-def _merge(target: dict, source: dict, scale: float) -> None:
-    for name, arr in source.items():
-        target[name] += scale * arr
-
-
-def _cosine_rows(a: np.ndarray, b: np.ndarray):
-    """Row-wise cosine of a (d,) anchor against (m, d) rows, with norms."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b, axis=1)
-    denom = np.maximum(na * nb, 1e-300)
-    return (b @ a) / denom, na, nb
-
-
-def label_shuffle_loss(params: ModelParams, partition: EntityPartition):
-    """Summed CE of UE predictions against the per-run shuffled labels.
-
-    The predictions are taken on the cached pre-removal rows: that is
-    the imprint being erased.
-    """
-    x_ue = partition.ue_train_rows
-    rows = np.arange(partition.ue.size)
-    p = softmax(logits(params, x_ue))
-    picked = p[rows, partition.shuffled_labels]
-    value = float(-np.log(np.maximum(picked, 1e-300)).sum())
-    dz = p.copy()
-    dz[rows, partition.shuffled_labels] -= 1.0
-    return value, backprop_from_logits(params, x_ue, dz)
-
-
-def prototype_loss(params: ModelParams, partition: EntityPartition):
-    """Summed distance of each UE embedding to its assigned foreign prototype."""
-    x_ue = partition.ue_train_rows
-    emb = forward_embed(params, x_ue)
-    diff = emb - partition.ue_prototype
-    norms = np.linalg.norm(diff, axis=1)
-    demb = np.zeros_like(diff)
-    nonzero = norms > 1e-12
-    demb[nonzero] = diff[nonzero] / norms[nonzero, None]
-    grads = backprop_from_logits(params, x_ue,
-                                 np.zeros((x_ue.shape[0], params.num_classes)), demb)
-    return float(norms.sum()), grads
-
-
-def contrastive_loss(params: ModelParams, partition: EntityPartition,
-                     x_after, tau: float = 0.5):
-    """Per-anchor log-ratio pulling HIE toward same-label survivors.
-
-    Each HIE anchor is scored against its sampled positives (rest) and
-    negatives (UE/HIE) by cosine similarity at temperature tau; anchors
-    without positives are skipped.  UE rows come from the partition
-    cache, everything else from the post-removal features.
-    """
-    grads = zeros_like_params(params)
-    if partition.hie.size == 0:
-        return 0.0, grads
-
-    cl_nodes = np.unique(np.concatenate(
-        [partition.hie] + list(partition.positives) + list(partition.negatives)))
-    slot = {int(v): i for i, v in enumerate(cl_nodes)}
-    in_ue = np.isin(cl_nodes, partition.ue)
-    x_cl = np.empty((cl_nodes.size, partition.ue_train_rows.shape[1]))
-    if np.any(~in_ue):
-        x_cl[~in_ue] = np.asarray(x_after)[cl_nodes[~in_ue]]
-    if np.any(in_ue):
-        ue_slot = {int(v): i for i, v in enumerate(partition.ue)}
-        x_cl[in_ue] = partition.ue_train_rows[[ue_slot[int(v)] for v in cl_nodes[in_ue]]]
-
-    emb = forward_embed(params, x_cl)
-    demb = np.zeros_like(emb)
-    value = 0.0
-    for idx, anchor in enumerate(partition.hie):
-        pos = partition.positives[idx]
-        neg = partition.negatives[idx]
-        if pos.size == 0:
-            continue  # nothing to pull toward; the anchor is skipped
-        ai = slot[int(anchor)]
-        others = np.asarray([slot[int(v)] for v in np.concatenate([pos, neg])])
-        a_vec = emb[ai]
-        cos, na, nb = _cosine_rows(a_vec, emb[others])
-        w = np.exp(cos / tau)
-        pos_mass = w[:pos.size].sum()
-        total = w.sum()
-        value += np.log(total) - np.log(pos_mass)
-        dw = w / total
-        dw[:pos.size] -= w[:pos.size] / pos_mass
-        ds = dw / tau
-        if na > 1e-12:
-            safe_nb = np.maximum(nb, 1e-300)
-            # rows with zero norm contribute nothing to either side
-            ok = nb > 1e-12
-            b_rows = emb[others]
-            da = (b_rows / safe_nb[:, None] - cos[:, None] * (a_vec / na)) / na
-            db = (a_vec[None, :] / na - cos[:, None] * (b_rows / safe_nb[:, None])) \
-                / safe_nb[:, None]
-            demb[ai] += (ds[:, None] * da * ok[:, None]).sum(axis=0)
-            np.add.at(demb, others, ds[:, None] * db * ok[:, None])
-    _merge(grads, backprop_from_logits(
-        params, x_cl, np.zeros((cl_nodes.size, params.num_classes)), demb), 1.0)
-    return float(value), grads
-
-
-def forgetting_loss(params: ModelParams, partition: EntityPartition,
-                    x_after: np.ndarray, tau: float = 0.5):
-    """Sum of the three forgetting terms with parameter gradients.
-
-    Returns (value, grads, parts) where parts holds the label-shuffle,
-    prototype and contrastive components separately.
-    """
-    v_label, g_label = label_shuffle_loss(params, partition)
-    v_proto, g_proto = prototype_loss(params, partition)
-    v_cl, g_cl = contrastive_loss(params, partition, x_after, tau=tau)
-    grads = g_label
-    _merge(grads, g_proto, 1.0)
-    _merge(grads, g_cl, 1.0)
-    parts = {"label": v_label, "prototype": v_proto, "contrastive": v_cl}
-    return v_label + v_proto + v_cl, grads, parts
-
-
-def reasoning_loss(params: ModelParams, partition: EntityPartition,
-                   x_after: np.ndarray, l2_coef: float = 5e-4):
-    """L2 weight penalty plus KL(original soft labels || current) on HIE."""
-    grads = zeros_like_params(params)
-    l2 = 0.0
-    for name, arr in params.items():
-        l2 += float(np.sum(arr * arr))
-        grads[name] += 2.0 * l2_coef * arr
-    parts = {"l2": l2_coef * l2, "kl": 0.0}
-
-    if partition.hie.size:
-        x_hie = np.asarray(x_after)[partition.hie]
-        p = predict(params, x_hie)
-        clamped = np.maximum(p, 1e-12)
-        mem = partition.memory
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(mem > 0.0, mem * (np.log(np.maximum(mem, 1e-300)) - np.log(clamped)), 0.0)
-        parts["kl"] = float(ratio.sum())
-        # exact gradient of -sum mem*log(max(p, eps)): rows where the
-        # clamp is active drop out of the log derivative
-        active = p > 1e-12
-        s_act = (mem * active).sum(axis=1, keepdims=True)
-        dz = p * s_act - mem * active
-        _merge(grads, backprop_from_logits(params, x_hie, dz), 1.0)
-
-    return parts["l2"] + parts["kl"], grads, parts
-
-
-def mixed_loss(params: ModelParams, partition: EntityPartition, x_after,
-               lam: float, tau: float = 0.5, l2_coef: float = 5e-4):
-    """lam * forgetting + (1 - lam) * reasoning, with exact endpoints."""
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")
-    if lam == 1.0:
-        value, grads, parts = forgetting_loss(params, partition, x_after, tau=tau)
-        parts.update({"l2": 0.0, "kl": 0.0})
-        return value, grads, parts
-    if lam == 0.0:
-        value, grads, parts = reasoning_loss(params, partition, x_after, l2_coef=l2_coef)
-        parts.update({"label": 0.0, "prototype": 0.0, "contrastive": 0.0})
-        return value, grads, parts
-    f_val, f_grads, f_parts = forgetting_loss(params, partition, x_after, tau=tau)
-    r_val, r_grads, r_parts = reasoning_loss(params, partition, x_after, l2_coef=l2_coef)
-    grads = {name: lam * f_grads[name] + (1.0 - lam) * r_grads[name]
-             for name in f_grads}
-    parts = dict(f_parts)
-    parts.update(r_parts)
-    return lam * f_val + (1.0 - lam) * r_val, grads, parts
 
 
 @dataclass
@@ -547,7 +387,7 @@ def gather_working_set(partition: EntityPartition, x_after: np.ndarray) -> Worki
 
 
 def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float):
-    """contrastive_loss over all anchors at once: (value, d value / d emb)."""
+    """The contrastive term over all anchors at once: (value, d value / d emb)."""
     demb = np.zeros_like(emb)
     if ws.anchor.size == 0:
         return 0.0, demb
@@ -579,10 +419,10 @@ def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float):
 
 def fused_loss(params: ModelParams, ws: WorkingSet, lam: float,
                tau: float = 0.5, l2_coef: float = 5e-4):
-    """mixed_loss in one forward and one backward pass over ws.x.
+    """The fine-tune objective in one forward and one backward pass over ws.x.
 
-    Returns (value, grads, parts) like mixed_loss, with which it agrees
-    on the same partition up to float rounding.
+    Returns (value, grads, parts): parts holds the five terms unweighted,
+    and a term whose weight is zero reports 0.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")

@@ -138,3 +138,88 @@ def influence_oracle(pi, soft, seeds):
         reached = total > 0.0
         score[reached] += channel.max(axis=1)[reached] / total[reached]
     return score
+
+
+def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
+    """Fine-tune objective and its five parts, entity by entity.
+
+    Follows the formulas of the unlearn module docstring with plain
+    loops.  theta may be complex: every branch (ReLU, the clamps, the
+    zero-norm test) reads the real part, so a complex-step probe takes
+    the same branch as the real evaluation.
+    """
+    def embed(x):
+        if mode == "linear":
+            return x @ theta["w_pre"] + theta["b_pre"]
+        z1 = x @ theta["w_emb"] + theta["b_emb"]
+        return np.where(z1.real > 0.0, z1, 0.0)
+
+    def prob(x):
+        z = embed(x)
+        if mode == "mlp":
+            z = z @ theta["w_pre"] + theta["b_pre"]
+        e = np.exp(z - z.real.max())
+        return e / e.sum()
+
+    def norm(v):
+        return np.sqrt(np.sum(v * v))
+
+    def floor(v, eps):
+        return v if v.real > eps else eps
+
+    def row(v):
+        hit = np.flatnonzero(part.ue == v)
+        return part.ue_train_rows[hit[0]] if hit.size else x_after[v]
+
+    parts = dict.fromkeys(("label", "prototype", "contrastive", "l2", "kl"), 0.0)
+    if lam > 0.0:
+        for i in range(part.ue.size):
+            x = part.ue_train_rows[i]
+            parts["label"] += -np.log(floor(prob(x)[part.shuffled_labels[i]], 1e-300))
+            dist = norm(embed(x) - part.ue_prototype[i])
+            parts["prototype"] += dist if dist.real > 1e-12 else dist.real
+        for a, pos, neg in zip(part.hie, part.positives, part.negatives):
+            if len(pos) == 0:
+                continue
+            e_a = embed(row(a))
+            w = []
+            for b in np.concatenate([pos, neg]):
+                e_b = embed(row(b))
+                n_a, n_b = norm(e_a), norm(e_b)
+                cos = e_a @ e_b / (n_a * n_b) \
+                    if n_a.real > 1e-12 and n_b.real > 1e-12 else 0.0
+                w.append(np.exp(cos / tau))
+            parts["contrastive"] += np.log(sum(w)) - np.log(sum(w[:len(pos)]))
+    if lam < 1.0:
+        parts["l2"] = l2_coef * sum(np.sum(arr * arr) for arr in theta.values())
+        for h, mem in zip(part.hie, part.memory):
+            p = prob(x_after[h])
+            for c, m in enumerate(mem):
+                if m > 0.0:
+                    parts["kl"] += m * (np.log(m) - np.log(floor(p[c], 1e-12)))
+    forget = parts["label"] + parts["prototype"] + parts["contrastive"]
+    reason = parts["l2"] + parts["kl"]
+    value = forget if lam == 1.0 else reason if lam == 0.0 \
+        else lam * forget + (1.0 - lam) * reason
+    return value, parts
+
+
+def loss_oracle(params, part, x_after, lam, tau=0.5, l2_coef=5e-4, step=1e-30):
+    """Independent reference for unlearn.fused_loss: (value, grads, parts).
+
+    The value comes from a per-entity loop over the partition; the
+    gradient of every parameter coordinate from the complex step
+    Im f(theta + i*step*e_j) / step, so no backward pass is written by
+    hand.  A term whose weight is zero reports 0.
+    """
+    theta = {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()}
+    value, parts = _objective(params.mode, theta, part, x_after, lam, tau, l2_coef)
+    grads = {}
+    for name, arr in theta.items():
+        grads[name] = np.zeros(arr.shape)
+        for idx in np.ndindex(arr.shape):
+            probe = {key: val.astype(np.complex128) for key, val in theta.items()}
+            probe[name][idx] += 1j * step
+            grads[name][idx] = _objective(params.mode, probe, part, x_after,
+                                          lam, tau, l2_coef)[0].imag / step
+    return float(value), grads, {key: float(val) for key, val in parts.items()}

@@ -224,6 +224,19 @@ def test_negative_khop_is_rejected_with_error_line(tmp_path, capsys):
     assert "nim.khop" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, value", [("propagation.k", "two"), ("nim.budget", "5"),
+                                        ("propagation.weights", 3), ("eval.rho", "x")])
+def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert run("gen", write_config(tmp_path), out) == 0
+    capsys.readouterr()
+    bad = write_config(tmp_path, {key: value}, name="bad.json")
+    assert run("train", bad, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConfigError")
+    assert key in err and err.count("\n") == 1
+
+
 def test_bad_seed_range_and_missing_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run("train", cfg, tmp_path / "run", seeds="5..2") == 1

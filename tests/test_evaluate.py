@@ -145,22 +145,6 @@ def test_mia_pool_too_small_or_no_members():
         mia_attack(params, x, [], np.arange(10), seed=0)
 
 
-def test_mia_custom_score_hook():
-    params = linear_model_with_columns(np.zeros((2, 2)))
-    x = np.zeros((20, 2))
-    calls = {}
-
-    def scorer(soft):
-        calls["shape"] = soft.shape
-        return np.arange(soft.shape[0], dtype=float)
-
-    rep = mia_attack(params, x, np.arange(5), np.arange(5, 20), seed=0,
-                     score_fn=scorer)
-    assert rep.score_feature == "external"
-    assert calls["shape"] == (10, 2)
-    assert rep.auc == 0.0  # members got the lowest scores
-
-
 # ----------------------------------------------------------- noise edge sampler
 
 def labeled_graph(n=20, seed=0):

@@ -271,6 +271,8 @@ def test_khop_capped_prefers_closer_then_smaller_id():
     assert list(got) == [1, 2, 3]  # hop-1 nodes win, smallest ids first
     got = khop_hie_capped(g, [0], hops=2, budget=5)
     assert list(got) == [1, 2, 3, 4, 5]
+    with pytest.raises(ConfigError):
+        khop_hie_capped(g, [0], hops=2, budget=-1)
 
 
 def test_khop_capped_output_is_sorted():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from graphunlearn.errors import CheckpointError, ConfigError, DataError, ShapeError
-from graphunlearn.model import (ModelParams, TrainConfig, backprop_from_logits,
-                                cross_entropy, forward_embed,
+from graphunlearn.model import (ModelParams, TrainConfig, backprop_cached,
+                                cross_entropy, forward_cache, forward_embed,
                                 grad_check, init_model, load_checkpoint, logits,
                                 predict, save_checkpoint, softmax, train)
 
@@ -227,7 +227,7 @@ def test_cross_entropy_value_matches_direct_formula():
 
 def test_cross_entropy_reused_forward_equals_separate_passes():
     # one call reuses its forward pass in the backward; the result must be
-    # bit-identical to a fresh forward plus backprop_from_logits
+    # bit-identical to a fresh forward_cache plus backprop_cached
     rng = np.random.default_rng(13)
     x = rng.standard_normal((40, 4))
     y = rng.integers(0, 3, size=40)
@@ -240,7 +240,7 @@ def test_cross_entropy_reused_forward_equals_separate_passes():
         dz = soft.copy()
         dz[rows, y] -= 1.0
         dz /= 40
-        expect_grads = backprop_from_logits(p, x, dz)
+        expect_grads = backprop_cached(p, x, *forward_cache(p, x)[:2], dz)
         assert np.array_equal(loss, expect)
         assert set(grads) == set(expect_grads)
         for name in grads:

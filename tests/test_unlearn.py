@@ -8,16 +8,13 @@ from graphunlearn.model import (ModelParams, TrainConfig, forward_embed,
                                 grad_check, init_model, predict, train)
 from graphunlearn.unlearn import (EntityPartition, FinetuneConfig,
                                   UnlearnRequest, apply_removal,
-                                  build_prototypes, contrastive_loss, finetune,
-                                  forgetting_loss, fused_loss,
-                                  gather_working_set, label_shuffle_loss,
-                                  mixed_loss, prepare_partition,
-                                  prototype_loss, read_request, reasoning_loss,
-                                  shuffle_labels, transform_request,
-                                  write_request)
+                                  build_prototypes, finetune, fused_loss,
+                                  gather_working_set, prepare_partition,
+                                  read_request, shuffle_labels,
+                                  transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
 
-from conftest import make_graph
+from conftest import loss_oracle, make_graph
 
 
 # -------------------------------------------------------------------- requests
@@ -294,23 +291,26 @@ def toy_partition():
         shuffled_labels=np.array([1]),
         ue_train_rows=np.array([[2.0, -1.0]]),
         ue_prototype=np.array([[0.0, 3.0]]),
-        prototypes=np.zeros((2, 2)), prototype_present=np.array([True, True]),
-        anchor_labels=np.array([0]),
         positives=[np.array([2])], negatives=[np.array([3])],
         memory=predict(params, x_after[[1]]))
     return part, params, x_after
 
 
+def toy_loss(lam, **kwargs):
+    part, params, x_after = toy_partition()
+    return fused_loss(params, gather_working_set(part, x_after), lam=lam, **kwargs)
+
+
 def test_label_shuffle_loss_matches_direct_formula():
     part, params, _ = toy_partition()
-    value, _ = label_shuffle_loss(params, part)
+    value = toy_loss(1.0)[2]["label"]
     soft = predict(params, part.ue_train_rows)
     assert value == pytest.approx(-np.log(soft[0, 1]), abs=1e-12)
 
 
 def test_prototype_loss_matches_direct_formula():
     part, params, _ = toy_partition()
-    value, _ = prototype_loss(params, part)
+    value = toy_loss(1.0)[2]["prototype"]
     emb = forward_embed(params, part.ue_train_rows)
     assert value == pytest.approx(np.linalg.norm(emb[0] - [0.0, 3.0]), abs=1e-12)
 
@@ -318,47 +318,44 @@ def test_prototype_loss_matches_direct_formula():
 def test_contrastive_symmetric_pair_gives_log_two():
     # positive and negative sit at the same cosine to the anchor, so the
     # softmax mass splits evenly and the log-ratio is exactly ln 2
-    part, params, x_after = toy_partition()
-    value, _ = contrastive_loss(params, part, x_after, tau=0.5)
+    value = toy_loss(1.0, tau=0.5)[2]["contrastive"]
     assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_contrastive_skips_anchor_without_positives():
     part, params, x_after = toy_partition()
     part.positives = [np.array([], dtype=np.int64)]
-    value, grads = contrastive_loss(params, part, x_after)
-    assert value == 0.0
-    assert all(np.all(g == 0.0) for g in grads.values())
+    ws = gather_working_set(part, x_after)
+    assert ws.anchor.size == 0
+    assert fused_loss(params, ws, lam=1.0)[2]["contrastive"] == 0.0
 
 
 def test_forgetting_loss_is_sum_of_parts():
-    part, params, x_after = toy_partition()
-    total, grads, parts = forgetting_loss(params, part, x_after, tau=0.5)
-    v1, g1 = label_shuffle_loss(params, part)
-    v2, g2 = prototype_loss(params, part)
-    v3, g3 = contrastive_loss(params, part, x_after, tau=0.5)
-    assert total == pytest.approx(v1 + v2 + v3, abs=1e-12)
-    assert parts == {"label": v1, "prototype": v2, "contrastive": v3}
-    for name in grads:
-        assert np.allclose(grads[name], g1[name] + g2[name] + g3[name], atol=1e-12)
+    # the total is the lam-weighted sum of the five reported parts
+    for lam in (0.0, 0.3, 1.0):
+        total, _, parts = toy_loss(lam, tau=0.5)
+        forget = parts["label"] + parts["prototype"] + parts["contrastive"]
+        reason = parts["l2"] + parts["kl"]
+        assert total == pytest.approx(lam * forget + (1 - lam) * reason, abs=1e-12)
 
 
 def test_reasoning_loss_zero_at_original_params():
     # memory was produced by these params on these rows: KL must be 0,
     # so the whole loss is the bare weight penalty
-    part, params, x_after = toy_partition()
-    value, _, parts = reasoning_loss(params, part, x_after, l2_coef=0.25)
+    _, params, _ = toy_partition()
+    value, _, parts = toy_loss(0.0, l2_coef=0.25)
     l2 = sum(float(np.sum(a * a)) for _, a in params.items())
     assert parts["kl"] == pytest.approx(0.0, abs=1e-12)
     assert value == pytest.approx(0.25 * l2, abs=1e-12)
 
 
 def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
-    part, params, x_after = toy_partition()
+    part, _, x_after = toy_partition()
     part.memory = np.array([[1.0, 0.0]])
     # zero weights: current prediction is uniform over 2 classes
     zero = ModelParams(mode="linear", w_pre=np.zeros((2, 2)), b_pre=np.zeros(2))
-    _, _, parts = reasoning_loss(zero, part, x_after, l2_coef=0.0)
+    _, _, parts = fused_loss(zero, gather_working_set(part, x_after), lam=0.0,
+                             l2_coef=0.0)
     assert parts["kl"] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -369,22 +366,15 @@ def test_every_loss_term_passes_fd_check_both_modes():
         part, _, x_after, _ = partition_fixture(seed=2, mode=mode)
         params = init_model(4, 6, 3, mode=mode, seed=3)
         ws = gather_working_set(part, x_after)
-        checks = {
-            "label": lambda p: label_shuffle_loss(p, part),
-            "prototype": lambda p: prototype_loss(p, part),
-            "contrastive": lambda p: contrastive_loss(p, part, x_after),
-            "reasoning": lambda p: reasoning_loss(p, part, x_after)[:2],
-            "mixed": lambda p: mixed_loss(p, part, x_after, lam=0.3)[:2],
-            "fused": lambda p: fused_loss(p, ws, lam=0.3)[:2],
-        }
-        for name, fn in checks.items():
-            err = grad_check(params, fn, seed=1, num_probes=20)
-            assert err <= 1e-4, f"{mode}/{name}: rel err {err}"
+        for lam in (0.0, 0.3, 1.0):
+            err = grad_check(params, lambda p: fused_loss(p, ws, lam=lam)[:2],
+                             seed=1, num_probes=20)
+            assert err <= 1e-4, f"{mode}/lambda={lam}: rel err {err}"
 
 
 # ------------------------------------------------------------------- fused loss
 
-def test_fused_loss_matches_mixed_loss_both_modes():
+def test_fused_loss_matches_oracle_both_modes():
     skipped, params, x_after = toy_partition()
     skipped.positives = [np.array([], dtype=np.int64)]
     cases = [toy_partition(), (skipped, params, x_after)]
@@ -401,12 +391,13 @@ def test_fused_loss_matches_mixed_loss_both_modes():
     for part, params, x_after in cases:
         ws = gather_working_set(part, x_after)
         for lam in (0.0, 0.1, 1.0):
-            v_ref, g_ref, parts_ref = mixed_loss(params, part, x_after, lam=lam)
+            v_ref, g_ref, parts_ref = loss_oracle(params, part, x_after, lam=lam)
             value, grads, parts = fused_loss(params, ws, lam=lam)
             assert value == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
             assert set(parts) == set(parts_ref)
             for name, ref in parts_ref.items():
                 assert parts[name] == pytest.approx(ref, rel=1e-12, abs=1e-12), name
+            assert set(grads) == set(g_ref)
             for name, ref in g_ref.items():
                 assert np.all(np.isfinite(grads[name])), name
                 assert np.allclose(grads[name], ref, rtol=1e-12, atol=1e-12), name
@@ -421,40 +412,34 @@ def test_working_set_stacks_ue_cache_over_after_rows():
     assert not np.isin(ws.rows, part.ue).any()
 
 
-# ------------------------------------------------------------------- mixed loss
+# ------------------------------------------------------------- lambda mixture
 
 def test_mixed_loss_endpoints_are_exact():
-    part, params, x_after = toy_partition()
-    v_f, g_f, _ = forgetting_loss(params, part, x_after)
-    v_r, g_r, _ = reasoning_loss(params, part, x_after)
-    v1, g1, parts1 = mixed_loss(params, part, x_after, lam=1.0)
-    assert v1 == v_f and parts1["kl"] == 0.0
-    for name in g1:
-        assert np.array_equal(g1[name], g_f[name])
-    v0, g0, parts0 = mixed_loss(params, part, x_after, lam=0.0)
-    assert v0 == v_r and parts0["label"] == 0.0
-    for name in g0:
-        assert np.array_equal(g0[name], g_r[name])
+    # at lam=1 only the forgetting parts count, at lam=0 only l2 + kl
+    v1, _, parts1 = toy_loss(1.0)
+    assert v1 == parts1["label"] + parts1["prototype"] + parts1["contrastive"]
+    assert parts1["l2"] == 0.0 and parts1["kl"] == 0.0
+    v0, _, parts0 = toy_loss(0.0)
+    assert v0 == parts0["l2"] + parts0["kl"]
+    assert parts0["label"] == parts0["prototype"] == parts0["contrastive"] == 0.0
 
 
 def test_mixed_loss_is_convex_combination():
-    part, params, x_after = toy_partition()
     lam = 0.3
-    v, g, _ = mixed_loss(params, part, x_after, lam=lam)
-    v_f, g_f, _ = forgetting_loss(params, part, x_after)
-    v_r, g_r, _ = reasoning_loss(params, part, x_after)
+    v, g, _ = toy_loss(lam)
+    v_f, g_f, _ = toy_loss(1.0)
+    v_r, g_r, _ = toy_loss(0.0)
     assert v == pytest.approx(lam * v_f + (1 - lam) * v_r, abs=1e-12)
     for name in g:
         assert np.allclose(g[name], lam * g_f[name] + (1 - lam) * g_r[name],
-                           atol=1e-12)
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_mixed_loss_validates_lambda():
-    part, params, x_after = toy_partition()
     with pytest.raises(ConfigError):
-        mixed_loss(params, part, x_after, lam=1.5)
+        toy_loss(1.5)
     with pytest.raises(ConfigError):
-        mixed_loss(params, part, x_after, lam=-0.1)
+        toy_loss(-0.1)
 
 
 # -------------------------------------------------------------------- finetune
