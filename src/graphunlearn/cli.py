@@ -30,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SbmSpec, generate_sbm
-from .errors import ConfigError, GraphUnlearnError, IoError
+from .errors import ConfigError, GraphUnlearnError
 from .evaluate import edge_attack_run, f1_score, mia_attack
-from .fileio import load_graph, save_graph
+from .fileio import (load_graph, make_dir, read_json_object, read_text,
+                     save_graph, write_text)
 from .influence import write_hie_csv
 from .model import load_checkpoint, save_checkpoint
 from .pipeline import (Pipeline, RunConfig, loaded_state, propagate_graph,
@@ -57,15 +58,7 @@ def _data_path(cfg: RunConfig, out: Path, name: str) -> str:
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid config JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a single JSON object")
-    return RunConfig.from_dict(doc)
+    return RunConfig.from_dict(read_json_object(path, "config"))
 
 
 def _run_id(cfg: RunConfig, seed: int) -> str:
@@ -78,8 +71,7 @@ def _write_metrics(out: Path, stage: str, cfg: RunConfig, seed: int, values: dic
     lines = [json.dumps({"run_id": run_id, "seed": seed, "stage": stage,
                          "metric": metric, "value": value}, sort_keys=True)
              for metric, value in values.items()]
-    (out / f"metrics_{stage}.jsonl").write_text("".join(l + "\n" for l in lines),
-                                                encoding="utf-8")
+    write_text(out / f"metrics_{stage}.jsonl", "".join(l + "\n" for l in lines))
 
 
 def _load_dataset(cfg: RunConfig, out: Path):
@@ -107,8 +99,8 @@ def cmd_gen(cfg: RunConfig, out: Path, seed: int) -> None:
     ue = np.sort(rng.choice(train_ids, size=count, replace=False))
     write_request(UnlearnRequest(kind="node", nodes=tuple(int(v) for v in ue)),
                   out / _FILES["request"])
-    (out / "resolved_config.json").write_text(
-        json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_text(out / "resolved_config.json",
+               json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n")
 
 
 def cmd_train(cfg: RunConfig, out: Path, seed: int) -> None:
@@ -134,8 +126,7 @@ def cmd_unlearn(cfg: RunConfig, out: Path, seed: int) -> None:
     if outcome.selection is not None:
         write_hie_csv(outcome.selection, out / "hie.csv")
     log_lines = [json.dumps(e, sort_keys=True) for e in outcome.log.epochs]
-    (out / "finetune_log.jsonl").write_text("".join(l + "\n" for l in log_lines),
-                                            encoding="utf-8")
+    write_text(out / "finetune_log.jsonl", "".join(l + "\n" for l in log_lines))
     _write_metrics(out, "unlearn", cfg, seed, {
         "num_ue": int(outcome.ue.size),
         "num_hie": int(outcome.hie.size),
@@ -172,8 +163,7 @@ def cmd_attack(cfg: RunConfig, out: Path, seed: int) -> None:
             report = mia_attack(params, x_tilde, ue, pool, seed)
             reports[tag] = report.to_dict()
             metrics[f"mia_auc_{tag}"] = report.auc
-        (out / "attack_mia.json").write_text(
-            json.dumps(reports, sort_keys=True) + "\n", encoding="utf-8")
+        write_text(out / "attack_mia.json", json.dumps(reports, sort_keys=True) + "\n")
     else:
         pipeline = Pipeline(cfg, seed)
         reports = []
@@ -182,13 +172,15 @@ def cmd_attack(cfg: RunConfig, out: Path, seed: int) -> None:
             reports.append(report.to_dict())
             for which in ("clean", "poisoned", "unlearned"):
                 metrics[f"edge_f1_{which}_rho{rho:g}"] = getattr(report, f"f1_{which}")
-        (out / "attack_edge.json").write_text(
-            json.dumps(reports, sort_keys=True) + "\n", encoding="utf-8")
+        write_text(out / "attack_edge.json", json.dumps(reports, sort_keys=True) + "\n")
     _write_metrics(out, "attack", cfg, seed, metrics)
 
 
-def _merge_metrics(out: Path) -> Path:
-    """Collect stage shards (and per-seed shards) into metrics.jsonl."""
+def _merge_metrics(out: Path) -> list:
+    """Collect stage shards (and per-seed shards) into metrics.jsonl.
+
+    Returns the merged lines, so report need not read the file back.
+    """
     lines = []
     seed_dirs = sorted((d for d in out.glob("seed_*") if d.is_dir()),
                        key=lambda d: int(d.name.split("_")[1]))
@@ -197,32 +189,29 @@ def _merge_metrics(out: Path) -> Path:
         for stage in STAGES:
             shard = scope / f"metrics_{stage}.jsonl"
             if shard.exists():
-                lines.extend(shard.read_text(encoding="utf-8").splitlines())
-    merged = out / "metrics.jsonl"
-    merged.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-    return merged
+                lines.extend(read_text(shard).splitlines())
+    write_text(out / "metrics.jsonl", "".join(l + "\n" for l in lines))
+    return lines
 
 
 def cmd_report(cfg: RunConfig, out: Path, seed: int) -> None:
     """Aggregate metrics across seeds into a CSV plus plot-ready series."""
-    merged = _merge_metrics(out)
-    rows = [json.loads(l) for l in merged.read_text(encoding="utf-8").splitlines()]
     groups: dict = {}
-    for row in rows:
+    for row in map(json.loads, _merge_metrics(out)):
         groups.setdefault((row["stage"], row["metric"]), []).append(float(row["value"]))
 
     lines = ["stage,metric,mean,std,count\n"]
     for (stage, metric) in sorted(groups):
         vals = np.asarray(groups[(stage, metric)])
         lines.append(f"{stage},{metric},{float(vals.mean())!r},{float(vals.std())!r},{vals.size}\n")
-    (out / "report.csv").write_text("".join(lines), encoding="utf-8")
+    write_text(out / "report.csv", "".join(lines))
 
     auc_lines = ["x,y\n"]
     for tag in ("original", "unlearned", "retrain"):
         key = ("attack", f"mia_auc_{tag}")
         if key in groups:
             auc_lines.append(f"{tag},{float(np.mean(groups[key]))!r}\n")
-    (out / "plot_mia_auc.csv").write_text("".join(auc_lines), encoding="utf-8")
+    write_text(out / "plot_mia_auc.csv", "".join(auc_lines))
 
     f1_lines = ["x,y\n"]
     by_rho = {}
@@ -232,7 +221,7 @@ def cmd_report(cfg: RunConfig, out: Path, seed: int) -> None:
             by_rho[float(m.group(1))] = float(np.mean(vals))
     for rho in sorted(by_rho):
         f1_lines.append(f"{rho!r},{by_rho[rho]!r}\n")
-    (out / "plot_edge_f1.csv").write_text("".join(f1_lines), encoding="utf-8")
+    write_text(out / "plot_edge_f1.csv", "".join(f1_lines))
 
 
 _COMMANDS = {"gen": cmd_gen, "train": cmd_train, "unlearn": cmd_unlearn,
@@ -250,7 +239,7 @@ def _parse_seed_range(text: str):
 
 
 def _run_one(command: str, cfg: RunConfig, out: Path, seed: int) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     _COMMANDS[command](cfg, out, seed)
 
 
@@ -271,7 +260,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.seed
         if args.seeds and args.command != "report":
             seeds = _parse_seed_range(args.seeds)
-            out.mkdir(parents=True, exist_ok=True)
+            make_dir(out)
             with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(seeds))) as pool:
                 futures = [pool.submit(_run_one, args.command, cfg, out / f"seed_{s}", s)
                            for s in seeds]

@@ -8,34 +8,70 @@ Text formats are UTF-8 with 0-indexed node ids:
 Features are either a plain CSV matrix or a binary blob:
     magic "GUFM", then n and f as 64-bit little-endian unsigned ints,
     then n*f float64 little-endian values in row-major order.
+
+This module is the library's only file access: every other module
+reads, writes and makes directories through the helpers below, so an
+OSError anywhere surfaces as one IoError naming the path.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, IoError, MaskError
+from .errors import ConfigError, DataError, IoError, MaskError
 from .graph import UNLABELED, Graph, build_graph
 
 FEATURE_MAGIC = b"GUFM"
 
 
+def _guarded(verb: str, path, call):
+    """Run one filesystem call; an OSError becomes IoError naming the path."""
+    try:
+        return call()
+    except OSError as exc:
+        raise IoError(f"cannot {verb} {path}: {exc}") from exc
+
+
+def read_bytes(path) -> bytes:
+    return _guarded("read", path, Path(path).read_bytes)
+
+
+def read_text(path) -> str:
+    return _guarded("read", path, lambda: Path(path).read_text(encoding="utf-8"))
+
+
+def write_bytes(path, data: bytes) -> None:
+    _guarded("write", path, lambda: Path(path).write_bytes(data))
+
+
+def write_text(path, text: str) -> None:
+    _guarded("write", path, lambda: Path(path).write_text(text, encoding="utf-8"))
+
+
+def make_dir(path) -> None:
+    """Create a directory and its parents; an existing directory is fine."""
+    _guarded("create directory", path,
+             lambda: Path(path).mkdir(parents=True, exist_ok=True))
+
+
+def read_json_object(path, what: str) -> dict:
+    """Parse a file holding one JSON object; `what` names it in errors."""
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {what} must be a single JSON object")
+    return doc
+
+
 def _read_lines(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return [ln for ln in text.splitlines() if ln.strip()]
-
-
-def _write_text(path, text):
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    return [ln for ln in read_text(path).splitlines() if ln.strip()]
 
 
 def read_edge_list(path) -> np.ndarray:
@@ -54,16 +90,12 @@ def read_edge_list(path) -> np.ndarray:
 
 def write_edge_list(path, edges) -> None:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    _write_text(path, "".join(f"{u}\t{v}\n" for u, v in edges))
+    write_text(path, "".join(f"{u}\t{v}\n" for u, v in edges))
 
 
 def read_features(path) -> np.ndarray:
     """Load a feature matrix, sniffing binary vs CSV from the magic bytes."""
-    p = Path(path)
-    try:
-        raw = p.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path)
     if raw[:4] == FEATURE_MAGIC:
         if len(raw) < 20:
             raise DataError(f"{path}: truncated binary feature header")
@@ -73,10 +105,10 @@ def read_features(path) -> np.ndarray:
             raise DataError(f"{path}: expected {expect} bytes for {n}x{f} features, got {len(raw)}")
         return np.frombuffer(raw, dtype="<f8", offset=20).reshape(n, f).astype(np.float64)
     try:
-        mat = np.loadtxt(p, delimiter=",", dtype=np.float64, ndmin=2)
+        return np.loadtxt(raw.decode("utf-8").splitlines(), delimiter=",",
+                          dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: malformed CSV feature matrix: {exc}") from exc
-    return mat
 
 
 def write_features(path, features) -> None:
@@ -84,15 +116,13 @@ def write_features(path, features) -> None:
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"feature matrix must be 2-d, got shape {x.shape}")
-    p = Path(path)
-    if p.suffix == ".csv":
-        np.savetxt(p, x, delimiter=",", fmt="%.17g")
+    if Path(path).suffix == ".csv":
+        buf = io.StringIO()
+        np.savetxt(buf, x, delimiter=",", fmt="%.17g")
+        write_text(path, buf.getvalue())
         return
     header = FEATURE_MAGIC + struct.pack("<QQ", x.shape[0], x.shape[1])
-    try:
-        p.write_bytes(header + x.astype("<f8").tobytes(order="C"))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, header + x.astype("<f8").tobytes(order="C"))
 
 
 def read_labels(path, n: int) -> np.ndarray:
@@ -114,7 +144,7 @@ def read_labels(path, n: int) -> np.ndarray:
 def write_labels(path, labels) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     lines = (f"{node}\t{cls}\n" for node, cls in enumerate(labels) if cls != UNLABELED)
-    _write_text(path, "".join(lines))
+    write_text(path, "".join(lines))
 
 
 def read_mask(path, n: int) -> np.ndarray:
@@ -133,7 +163,7 @@ def read_mask(path, n: int) -> np.ndarray:
 def write_mask(path, mask) -> None:
     mask = np.asarray(mask)
     ids = np.flatnonzero(mask) if mask.dtype == bool else np.asarray(mask, dtype=np.int64)
-    _write_text(path, "".join(f"{i}\n" for i in ids))
+    write_text(path, "".join(f"{i}\n" for i in ids))
 
 
 def load_graph(edge_path, feature_path, label_path=None,

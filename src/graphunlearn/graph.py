@@ -183,14 +183,10 @@ class SparseOperator:
     """Normalized adjacency S = D^(-r) (A + I) D^(r-1), CSR-backed."""
 
     matrix: sp.csr_matrix
-    r: float
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def __matmul__(self, other):
-        return self.matrix @ other
 
 
 def normalized_adjacency(graph: Graph, r: float = 0.5) -> SparseOperator:
@@ -207,7 +203,7 @@ def normalized_adjacency(graph: Graph, r: float = 0.5) -> SparseOperator:
     right = sp.diags(d_hat ** (r - 1.0))
     s = (left @ a_hat @ right).tocsr()
     s.sort_indices()
-    return SparseOperator(matrix=s, r=float(r))
+    return SparseOperator(matrix=s)
 
 
 @dataclass(frozen=True)

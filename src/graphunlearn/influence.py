@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import _write_text
+from .fileio import write_text
 from .graph import Graph, PropagationConfig, SparseOperator, propagation_column
 
 SELECTION_MODES = ("expanding", "static")
@@ -52,9 +52,6 @@ class HieSelection:
 
     nodes: np.ndarray
     scores: np.ndarray
-    theta: float
-    budget: int
-    mode: str
 
     def __len__(self) -> int:
         return int(self.nodes.size)
@@ -127,8 +124,7 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
             add_seed(best)
 
     return HieSelection(nodes=np.asarray(picked, dtype=np.int64),
-                        scores=np.asarray(picked_scores, dtype=np.float64),
-                        theta=float(theta), budget=int(budget), mode=mode)
+                        scores=np.asarray(picked_scores, dtype=np.float64))
 
 
 def bfs_distances(graph: Graph, seeds, max_hops: int | None = None) -> np.ndarray:
@@ -167,4 +163,4 @@ def write_hie_csv(selection: HieSelection, path) -> None:
     lines = ["node,score,round\n"]
     for i, (node, score) in enumerate(zip(selection.nodes, selection.scores), start=1):
         lines.append(f"{node},{float(score)!r},{i}\n")
-    _write_text(path, "".join(lines))
+    write_text(path, "".join(lines))

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataError, IoError, ShapeError
+from .errors import CheckpointError, ConfigError, DataError, ShapeError
+from .fileio import read_bytes, write_bytes
 
 CHECKPOINT_MAGIC = b"GUWT"
 _MODE_BYTE = {"linear": 0, "mlp": 1}
@@ -176,7 +176,6 @@ class TrainConfig:
     lr: float = 0.01
     weight_decay: float = 5e-4
     epochs: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0 or self.weight_decay < 0 or self.epochs < 0:
@@ -271,17 +270,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
     blob = [CHECKPOINT_MAGIC, bytes([_MODE_BYTE[params.mode]]),
             struct.pack(f"<{len(dims)}Q", *dims)]
     blob += [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in params.items()]
-    try:
-        Path(path).write_bytes(b"".join(blob))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, b"".join(blob))
 
 
 def load_checkpoint(path) -> ModelParams:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path)
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     if len(raw) < 5 or raw[4] not in _BYTE_MODE:

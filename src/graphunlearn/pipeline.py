@@ -184,9 +184,9 @@ class RunConfig:
             return PropagationConfig.custom(self.weights)
         raise ConfigError(f"unknown propagation scheme {self.scheme!r}")
 
-    def train_config(self, seed: int) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(lr=self.lr, weight_decay=self.weight_decay,
-                           epochs=self.epochs, seed=seed)
+                           epochs=self.epochs)
 
     def finetune_config(self) -> FinetuneConfig:
         return FinetuneConfig(lr=self.finetune_lr, epochs=self.finetune_epochs,
@@ -208,7 +208,6 @@ class PipelineState:
     params: ModelParams
     soft: np.ndarray
     history: list = field(default_factory=list)
-    num_classes: int = 0
 
 
 @dataclass
@@ -233,20 +232,18 @@ def loaded_state(graph: Graph, cfg: RunConfig, params: ModelParams) -> PipelineS
     """State around an existing checkpoint; no training happens."""
     op, x_tilde = propagate_graph(graph, cfg)
     return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params,
-                         soft=predict(params, x_tilde), history=[],
-                         num_classes=params.num_classes)
+                         soft=predict(params, x_tilde), history=[])
 
 
 def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
     """Propagate once, then fit the head on the training nodes."""
     op, x_tilde = propagate_graph(graph, cfg)
-    classes = graph.num_classes
-    fresh = init_model(graph.num_features, cfg.hidden, classes, mode=cfg.mode, seed=seed)
+    fresh = init_model(graph.num_features, cfg.hidden, graph.num_classes,
+                       mode=cfg.mode, seed=seed)
     params, history = train(fresh, x_tilde, graph.labels, graph.train_mask,
-                            cfg.train_config(seed))
+                            cfg.train_config())
     return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params,
-                         soft=predict(params, x_tilde), history=history,
-                         num_classes=classes)
+                         soft=predict(params, x_tilde), history=history)
 
 
 def select_influenced(state: PipelineState, ue: np.ndarray, cfg: RunConfig):
@@ -271,15 +268,14 @@ def unlearn_state(state: PipelineState, request: UnlearnRequest,
 
     partition = prepare_partition(
         graph_after, x_after, ue, hie, state.soft, state.params,
-        x_before=state.x_tilde, num_classes=state.num_classes,
+        x_before=state.x_tilde, num_classes=state.params.num_classes,
         positives_per_anchor=cfg.positives, negatives_per_anchor=cfg.negatives,
         seed=seed)
     params, log = finetune(state.params, partition, x_after, cfg.finetune_config())
 
     new_state = PipelineState(graph=graph_after, op=op_after, x_tilde=x_after,
                               params=params, soft=predict(params, x_after),
-                              history=[e["total"] for e in log.epochs],
-                              num_classes=state.num_classes)
+                              history=[e["total"] for e in log.epochs])
     return UnlearnOutcome(state=new_state, ue=ue, hie=hie, selection=selection,
                           partition=partition, log=log)
 

@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (ConfigError, DataError, IoError, PrototypeError,
-                     RequestError)
+from .errors import ConfigError, DataError, PrototypeError, RequestError
+from .fileio import read_json_object, write_text
 from .graph import Graph, build_graph
 from .model import (Adam, ModelParams, backprop_cached, forward_cache,
                     forward_embed, predict, softmax)
@@ -94,28 +93,33 @@ class UnlearnRequest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "UnlearnRequest":
+        """Request from its JSON form; node ids must be ints, not bools or floats."""
         if "kind" not in doc:
             raise ConfigError("request document is missing 'kind'")
-        return cls(kind=doc["kind"], nodes=tuple(doc.get("nodes", ())),
-                   edges=tuple(tuple(e) for e in doc.get("edges", ())))
+        nodes, edges = doc.get("nodes", ()), doc.get("edges", ())
+        if not _is_list(nodes) or not all(map(_is_node_id, nodes)):
+            raise ConfigError("request 'nodes' must be a list of integer node ids")
+        if not _is_list(edges) or not all(
+                _is_list(e) and len(e) == 2 and all(map(_is_node_id, e)) for e in edges):
+            raise ConfigError("request 'edges' must be a list of [u, v] integer pairs")
+        return cls(kind=doc["kind"], nodes=tuple(nodes),
+                   edges=tuple(tuple(e) for e in edges))
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_node_id(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def read_request(path) -> UnlearnRequest:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid request JSON: {exc}") from exc
-    return UnlearnRequest.from_dict(doc)
+    return UnlearnRequest.from_dict(read_json_object(path, "request"))
 
 
 def write_request(request: UnlearnRequest, path) -> None:
-    try:
-        Path(path).write_text(json.dumps(request.to_dict(), sort_keys=True) + "\n",
-                              encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, json.dumps(request.to_dict(), sort_keys=True) + "\n")
 
 
 def transform_request(request: UnlearnRequest) -> np.ndarray:
@@ -181,13 +185,13 @@ def shuffle_labels(ue, labels, num_classes: int, seed: int) -> np.ndarray:
     return drawn + (drawn >= true)
 
 
-def build_prototypes(embeddings: np.ndarray, labels, num_classes: int,
-                     required_classes=()) -> tuple[np.ndarray, np.ndarray]:
+def build_prototypes(embeddings: np.ndarray, labels,
+                     num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean embedding per class over the given exemplars.
 
     Returns (prototypes, present): a (classes, d) table and a bool mask
     of classes that had at least one exemplar.  Unlabeled rows (-1) are
-    skipped.  Raises PrototypeError when a required class is empty.
+    skipped.
     """
     emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
@@ -200,9 +204,6 @@ def build_prototypes(embeddings: np.ndarray, labels, num_classes: int,
         if rows.size:
             protos[c] = emb[rows].mean(axis=0)
             present[c] = True
-    for c in required_classes:
-        if not present[c]:
-            raise PrototypeError(f"class {int(c)} has no non-unlearned exemplars")
     return protos, present
 
 
@@ -273,11 +274,10 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     # prototypes from the labeled training remainder, in the embedding
     # space the fine-tuned model starts from
     exemplars = rest[graph_after.train_mask[rest] & (graph_after.labels[rest] >= 0)]
-    ue_classes = np.unique(graph_after.labels[ue])
     protos, present = build_prototypes(
         forward_embed(original_params, x_after[exemplars]) if exemplars.size
         else np.zeros((0, 1)),
-        graph_after.labels[exemplars], num_classes, required_classes=ue_classes)
+        graph_after.labels[exemplars], num_classes)
 
     ue_proto = np.zeros((ue.size, protos.shape[1]))
     for i, u in enumerate(ue):

@@ -118,7 +118,7 @@ def _training_setup(mode: str, seed: int = 0):
     x = propagate(op, graph.features, config)
     params = init_model(4, 6, classes, mode=mode, seed=seed)
     params, _ = train(params, x, graph.labels, graph.train_mask,
-                      TrainConfig(epochs=40, seed=seed))
+                      TrainConfig(epochs=40))
     return graph, config, x, params
 
 

@@ -237,6 +237,44 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     assert key in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("request_doc", [
+    {"kind": "node", "nodes": ["a"]},
+    {"kind": "node", "nodes": 5},
+    {"kind": "edge", "edges": [1, 2]},
+    {"kind": "node", "nodes": [1.5]},
+    {"kind": "node", "nodes": [True]},
+], ids=["string-node", "scalar-nodes", "flat-edges", "float-node", "bool-node"])
+def test_malformed_request_fails_with_error_line(tmp_path, capsys, request_doc):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    (out / "request.json").write_text(json.dumps(request_doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run("unlearn", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConfigError") and err.count("\n") == 1
+
+
+def test_out_below_regular_file_fails_with_io_error_line(tmp_path, capsys):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert run("gen", write_config(tmp_path), tmp_path / "afile" / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=IoError") and err.count("\n") == 1
+
+
+def test_report_into_directory_fails_with_io_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    (out / "report.csv").mkdir()
+    capsys.readouterr()
+    assert run("report", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=IoError") and err.count("\n") == 1
+    assert "report.csv" in err
+
+
 def test_bad_seed_range_and_missing_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run("train", cfg, tmp_path / "run", seeds="5..2") == 1

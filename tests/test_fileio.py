@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphunlearn
 from graphunlearn.errors import DataError, IoError, MaskError
 from graphunlearn.fileio import (FEATURE_MAGIC, load_graph, read_edge_list,
                                  read_features, read_labels, read_mask,
@@ -139,3 +143,27 @@ def test_load_graph_without_optional_files(tmp_path):
     g2 = load_graph(tmp_path / "e", tmp_path / "x")
     assert np.all(g2.labels == -1)
     assert not g2.train_mask.any()
+
+
+def test_fileio_is_the_only_module_touching_the_disk():
+    # every other library module goes through the fileio helpers, so
+    # fileio's mapper is the one place an OSError becomes IoError
+    src = Path(graphunlearn.__file__).parent
+    disk_methods = {"open", "read_text", "read_bytes", "write_text", "write_bytes",
+                    "mkdir", "loadtxt", "savetxt"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                found += [f"{path.name}:{node.lineno} except {c.id}" for c in caught
+                          if isinstance(c, ast.Name)
+                          and c.id in ("OSError", "IOError", "EnvironmentError")]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "open" or \
+                        isinstance(func, ast.Attribute) and func.attr in disk_methods:
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(func)}()")
+    assert found == []

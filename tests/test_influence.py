@@ -286,8 +286,7 @@ def test_khop_capped_output_is_sorted():
 # ----------------------------------------------------------------------- export
 
 def test_write_hie_csv_format(tmp_path):
-    sel = HieSelection(nodes=np.array([4, 2]), scores=np.array([1.5, 0.75]),
-                       theta=0.5, budget=2, mode="expanding")
+    sel = HieSelection(nodes=np.array([4, 2]), scores=np.array([1.5, 0.75]))
     path = tmp_path / "hie.csv"
     write_hie_csv(sel, path)
     lines = path.read_text().splitlines()

@@ -55,6 +55,9 @@ def test_request_file_round_trip(tmp_path):
     with pytest.raises(ConfigError):
         path.write_text("not json")
         read_request(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="request must be a single JSON object"):
+        read_request(path)
 
 
 # ---------------------------------------------------------------- apply_removal
@@ -167,8 +170,6 @@ def test_prototypes_skip_unlabeled_and_require():
     labels = np.array([0, -1, -1])
     protos, present = build_prototypes(emb, labels, 2)
     assert present[0] and not present[1]
-    with pytest.raises(PrototypeError):
-        build_prototypes(emb, labels, 2, required_classes=[1])
     with pytest.raises(DataError):
         build_prototypes(np.ones((2, 2)), np.array([0]), 2)
 
@@ -193,7 +194,7 @@ def pipeline_fixture(seed=0, n=24, classes=3, mode="mlp"):
     x = propagate(op, g.features, cfg)
     params = init_model(4, 6, classes, mode=mode, seed=seed)
     params, _ = train(params, x, g.labels, g.train_mask,
-                      TrainConfig(epochs=60, seed=seed))
+                      TrainConfig(epochs=60))
     return g, op, cfg, x, params
 
 
@@ -258,11 +259,11 @@ def test_partition_deterministic_in_seed():
         assert np.array_equal(pa, pb)
 
 
-def test_partition_fails_without_foreign_prototype():
-    # every surviving exemplar has the UE's own class: no foreign pull target
+def path_partition(labels):
+    """Unlearn nodes 1 and 2 of a labeled 6-node path, without HIE."""
     n = 6
     g = make_graph(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
-                   labels=np.array([0, 1, 1, 0, 0, 0]),
+                   labels=np.array(labels),
                    train=np.ones(n, dtype=bool), test=None)
     op = normalized_adjacency(g, r=0.5)
     cfg = PropagationConfig.s2gc(1)
@@ -272,9 +273,27 @@ def test_partition_fails_without_foreign_prototype():
     req = UnlearnRequest(kind="node", nodes=(1, 2))
     g_after = apply_removal(g, req)
     x_after = propagate(normalized_adjacency(g_after, 0.5), g_after.features, cfg)
+
+    def part():
+        return prepare_partition(g_after, x_after, np.array([1, 2]), np.array([]),
+                                 soft, params, x_before=x, num_classes=2, seed=0)
+    return part, params, x_after
+
+
+def test_partition_fails_without_foreign_prototype():
+    # node 1 is the only class-0 node and is unlearned, so every surviving
+    # exemplar has node 2's own class: no foreign pull target
+    part, _, _ = path_partition([1, 0, 1, 1, 1, 1])
     with pytest.raises(PrototypeError):
-        prepare_partition(g_after, x_after, np.array([1, 2]), np.array([]),
-                          soft, params, x_before=x, num_classes=2, seed=0)
+        part()
+
+
+def test_partition_unlearns_every_node_of_a_class():
+    # UE {1, 2} is all of class 1; the class-0 prototype is the pull target
+    part, params, x_after = path_partition([0, 1, 1, 0, 0, 0])
+    target = forward_embed(params, x_after[[0, 3, 4, 5]]).mean(axis=0)
+    got = part().ue_prototype
+    assert np.array_equal(got[0], target) and np.array_equal(got[1], target)
 
 
 # ------------------------------------------------------------ loss value oracles
@@ -520,7 +539,7 @@ def test_retrain_matches_manual_training_route():
     x = propagate(normalized_adjacency(after, 0.5), after.features, cfg)
     fresh = init_model(after.num_features, 6, after.num_classes, mode="mlp", seed=5)
     expect, expect_hist = train(fresh, x, after.labels, after.train_mask,
-                                run.train_config(5))
+                                run.train_config())
     assert np.array_equal(state.x_tilde, x)
     assert state.history == expect_hist
     for (_, a), (_, b) in zip(state.params.items(), expect.items()):
