@@ -42,7 +42,11 @@ def read_bytes(path) -> bytes:
 
 
 def read_text(path) -> str:
-    return _guarded("read", path, lambda: Path(path).read_text(encoding="utf-8"))
+    """Read a UTF-8 text file; bytes that are not UTF-8 raise DataError."""
+    try:
+        return _guarded("read", path, lambda: Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def write_bytes(path, data: bytes) -> None:

@@ -62,10 +62,6 @@ class ModelParams:
         return int(self.w_emb.shape[0] if self.mode == "mlp" else self.w_pre.shape[0])
 
 
-def zeros_like_params(params: ModelParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.items()}
-
-
 def init_model(num_features: int, hidden: int, num_classes: int,
                mode: str = "mlp", seed: int = 0) -> ModelParams:
     """Uniform init scaled by 1/sqrt(fan_in), deterministic in the seed."""
@@ -92,27 +88,63 @@ def init_model(num_features: int, hidden: int, num_classes: int,
                        b_pre=uniform(hidden, (num_classes,)))
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+class StepBuffers:
+    """Preallocated arrays for one forward and backward pass, sized for
+    one parameter shape and row count.
+
+    forward_cache, backprop_cached and cross_entropy write every result
+    into the buffers they are given, so a loop that reuses one
+    StepBuffers allocates nothing per step.  What they return are views
+    into it, overwritten by the next call given the same buffers.
+    """
+
+    def __init__(self, params: ModelParams, rows: int):
+        width = params.b_emb.shape[0] if params.mode == "mlp" else params.num_classes
+        self.logits = np.empty((rows, params.num_classes))
+        self.row = np.empty((rows, 1))          # softmax row maxima, then row sums
+        self.demb = np.empty((rows, width))     # gradient at the embedding, then at z1
+        self.grads = {name: np.empty(arr.shape) for name, arr in params.items()}
+        if params.mode == "mlp":
+            self.z1 = np.empty((rows, width))
+            self.emb = np.empty((rows, width))
+            self.active = np.empty((rows, width), dtype=bool)
 
 
-def forward_cache(params: ModelParams, x: np.ndarray):
+def softmax(z: np.ndarray, out: np.ndarray | None = None,
+            row: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax.  out (which may be z itself) receives the result
+    and row, shaped like z with a last axis of 1, the row maxima and sums;
+    each is allocated when not given."""
+    row = np.max(z, axis=-1, keepdims=True, out=row)
+    out = np.subtract(z, row, out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True, out=row)
+    return out
+
+
+def forward_cache(params: ModelParams, x: np.ndarray, buf: StepBuffers | None = None):
     """One forward pass keeping what the backward pass needs.
 
     Returns (z1, emb, logits): z1 is the hidden pre-activation (None in
     linear mode), emb the embedding and logits the pre-softmax scores.
+    They are written into buf, or into fresh StepBuffers when buf is None.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.num_inputs:
         raise ShapeError(f"input has {x.shape[1]} columns, model expects {params.num_inputs}")
+    if buf is None:
+        buf = StepBuffers(params, x.shape[0])
+    z = buf.logits
     if params.mode == "linear":
-        z = x @ params.w_pre + params.b_pre
+        np.matmul(x, params.w_pre, out=z)
+        z += params.b_pre
         return None, z, z
-    z1 = x @ params.w_emb + params.b_emb
-    emb = np.maximum(z1, 0.0)
-    return z1, emb, emb @ params.w_pre + params.b_pre
+    z1 = np.matmul(x, params.w_emb, out=buf.z1)
+    z1 += params.b_emb
+    emb = np.maximum(z1, 0.0, out=buf.emb)
+    np.matmul(emb, params.w_pre, out=z)
+    z += params.b_pre
+    return z1, emb, z
 
 
 def forward_embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -126,47 +158,60 @@ def logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    return softmax(logits(params, x))
+    z = logits(params, x)
+    return softmax(z, out=z)
 
 
 def backprop_cached(params: ModelParams, x: np.ndarray, z1, emb: np.ndarray,
-                    dlogits: np.ndarray, demb: np.ndarray | None = None) -> dict:
+                    dlogits: np.ndarray, demb: np.ndarray | None = None,
+                    buf: StepBuffers | None = None) -> dict:
     """Parameter gradients from gradients at the logits (and optionally at
-    the embedding), given the forward_cache of the same rows x."""
+    the embedding), given the forward_cache of the same rows x.
+
+    The gradients are written into buf (fresh StepBuffers when None); the
+    inputs are left untouched.
+    """
     x = np.atleast_2d(x)
-    grads = zeros_like_params(params)
+    if buf is None:
+        buf = StepBuffers(params, x.shape[0])
+    grads = buf.grads
     if params.mode == "linear":
-        total = dlogits if demb is None else dlogits + demb
-        grads["w_pre"] = x.T @ total
-        grads["b_pre"] = total.sum(axis=0)
+        total = dlogits if demb is None else np.add(dlogits, demb, out=buf.demb)
+        np.matmul(x.T, total, out=grads["w_pre"])
+        np.sum(total, axis=0, out=grads["b_pre"])
         return grads
-    grads["w_pre"] = emb.T @ dlogits
-    grads["b_pre"] = dlogits.sum(axis=0)
-    dh = dlogits @ params.w_pre.T
+    np.matmul(emb.T, dlogits, out=grads["w_pre"])
+    np.sum(dlogits, axis=0, out=grads["b_pre"])
+    dz1 = np.matmul(dlogits, params.w_pre.T, out=buf.demb)
     if demb is not None:
-        dh = dh + demb
-    dz1 = dh * (z1 > 0.0)
-    grads["w_emb"] = x.T @ dz1
-    grads["b_emb"] = dz1.sum(axis=0)
+        dz1 += demb
+    dz1 *= np.greater(z1, 0.0, out=buf.active)
+    np.matmul(x.T, dz1, out=grads["w_emb"])
+    np.sum(dz1, axis=0, out=grads["b_emb"])
     return grads
 
 
-def cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray):
+def cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
+                  buf: StepBuffers | None = None):
     """Mean cross-entropy over the given rows, with parameter gradients.
 
     Returns (loss, grads).  y holds one class id per row of x.  The
-    backward pass reuses the forward pass's hidden layer.
+    backward pass reuses the forward pass's hidden layer, and the softmax
+    and its gradient overwrite the logits in buf (fresh StepBuffers when
+    None).
     """
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=np.int64)
-    z1, emb, z = forward_cache(params, x)
-    p = softmax(z)
+    if buf is None:
+        buf = StepBuffers(params, x.shape[0])
+    z1, emb, z = forward_cache(params, x, buf)
+    p = softmax(z, out=z, row=buf.row)
     b = x.shape[0]
-    loss = -np.mean(np.log(np.maximum(p[np.arange(b), y], 1e-300)))
-    dz = p.copy()
-    dz[np.arange(b), y] -= 1.0
-    dz /= b
-    return loss, backprop_cached(params, x, z1, emb, dz)
+    rows = np.arange(b)
+    loss = -np.mean(np.log(np.maximum(p[rows, y], 1e-300)))
+    p[rows, y] -= 1.0           # p becomes the gradient at the logits
+    p /= b
+    return loss, backprop_cached(params, x, z1, emb, p, buf=buf)
 
 
 @dataclass
@@ -183,7 +228,14 @@ class TrainConfig:
 
 
 class Adam:
-    """Plain Adam; weight decay is added to the raw gradient."""
+    """Plain Adam; weight decay is added to the raw gradient.
+
+    The moments m and v are flat vectors over every parameter in
+    declaration order.  A step gathers the gradients into one flat
+    vector and updates all tensors with the same few in-place
+    operations, in the same order a per-tensor update would use, so the
+    result is bit-identical to it.
+    """
 
     def __init__(self, params: ModelParams, lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -191,20 +243,37 @@ class Adam:
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = zeros_like_params(params)
-        self.v = zeros_like_params(params)
+        size = sum(arr.size for _, arr in params.items())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._g = np.empty(size)
+        self._tmp = np.empty(size)
 
     def step(self, params: ModelParams, grads: dict) -> None:
         self.t += 1
-        for name, arr in params.items():
-            g = grads[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * arr
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        items = params.items()
+        g, tmp, m, v = self._g, self._tmp, self.m, self.v
+        np.concatenate([grads[name].ravel() for name, _ in items], out=g)
+        if self.weight_decay:
+            np.concatenate([arr.ravel() for _, arr in items], out=tmp)
+            tmp *= self.weight_decay
+            g += tmp
+        m *= self.beta1
+        m += np.multiply(g, 1 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        update = np.divide(m, 1 - self.beta1 ** self.t, out=tmp)
+        update *= self.lr
+        denom = np.divide(v, 1 - self.beta2 ** self.t, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        offset = 0
+        for _, arr in items:
+            arr -= update[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
 
 
 def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
@@ -224,9 +293,10 @@ def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
 
     params = params.copy()
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    buf = StepBuffers(params, x.shape[0])
     history = []
     for _ in range(cfg.epochs):
-        loss, grads = cross_entropy(params, x, y)
+        loss, grads = cross_entropy(params, x, y, buf)
         opt.step(params, grads)
         history.append(float(loss))
     return params, history

@@ -11,6 +11,7 @@ with; the removal only changes what fine-tuning and later inference see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Optional
 
@@ -28,13 +29,22 @@ from .unlearn import (EntityPartition, FinetuneConfig, FinetuneLog,
 
 
 def _fits(kind: str, value) -> bool:
-    """Whether a config value fits a RunConfig field annotated `kind`."""
+    """Whether a config value fits a RunConfig field annotated `kind`.
+
+    float fields and the entries of list fields must be finite numbers:
+    JSON parsing accepts NaN and Infinity.
+    """
     if kind == "tuple":
         return isinstance(value, (list, tuple)) and all(_fits("float", v) for v in value)
     if kind == "Optional[int]" and value is None:
         return True
     types = {"str": str, "int": int, "Optional[int]": int, "float": (int, float)}[kind]
-    return isinstance(value, types) and not isinstance(value, bool)
+    if not isinstance(value, types) or isinstance(value, bool):
+        return False
+    try:
+        return kind != "float" or math.isfinite(value)
+    except OverflowError:       # an int too large to be a float
+        return False
 
 
 @dataclass
@@ -125,8 +135,9 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Config from dotted keys; a value must fit its field's type.
 
-        int fields take integers (not booleans), float fields any number,
-        and list fields lists of numbers; eval.rho also takes one number.
+        int fields take integers (not booleans), float fields any finite
+        number, and list fields lists of finite numbers; eval.rho also
+        takes one number.
         """
         kinds = {f.name: f.type for f in dc_fields(cls)}
         kwargs = {}
@@ -137,9 +148,9 @@ class RunConfig:
             if name == "rho" and _fits("float", value):
                 value = [value]
             if not _fits(kinds[name], value):
-                expected = {"str": "a string", "int": "an int", "float": "a number",
+                expected = {"str": "a string", "int": "an int", "float": "a finite number",
                             "Optional[int]": "an int or null",
-                            "tuple": "a list of numbers"}[kinds[name]]
+                            "tuple": "a list of finite numbers"}[kinds[name]]
                 raise ConfigError(f"{key} must be {expected}, got {value!r}")
             if kinds[name] == "tuple":
                 value = tuple(float(v) for v in value)

@@ -55,8 +55,8 @@ import scipy.sparse as sp
 from .errors import ConfigError, DataError, PrototypeError, RequestError
 from .fileio import read_json_object, write_text
 from .graph import Graph, build_graph
-from .model import (Adam, ModelParams, backprop_cached, forward_cache,
-                    forward_embed, predict, softmax)
+from .model import (Adam, ModelParams, StepBuffers, backprop_cached,
+                    forward_cache, forward_embed, predict, softmax)
 
 REQUEST_KINDS = ("feature", "node", "edge")
 
@@ -418,16 +418,18 @@ def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float):
 
 
 def fused_loss(params: ModelParams, ws: WorkingSet, lam: float,
-               tau: float = 0.5, l2_coef: float = 5e-4):
+               tau: float = 0.5, l2_coef: float = 5e-4,
+               buf: StepBuffers | None = None):
     """The fine-tune objective in one forward and one backward pass over ws.x.
 
     Returns (value, grads, parts): parts holds the five terms unweighted,
-    and a term whose weight is zero reports 0.
+    and a term whose weight is zero reports 0.  The passes write into buf
+    (fresh StepBuffers when None), and grads are views into it.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")
     part = ws.partition
-    z1, emb, z = forward_cache(params, ws.x)
+    z1, emb, z = forward_cache(params, ws.x, buf)
     soft = softmax(z)
     dlogits = np.zeros_like(z)
     demb = np.zeros_like(emb)
@@ -464,7 +466,7 @@ def fused_loss(params: ModelParams, ws: WorkingSet, lam: float,
         s_act = (mem * active).sum(axis=1, keepdims=True)
         dlogits[ws.hie] = (1.0 - lam) * (p * s_act - mem * active)
 
-    grads = backprop_cached(params, ws.x, z1, emb, dlogits, demb)
+    grads = backprop_cached(params, ws.x, z1, emb, dlogits, demb, buf)
     if lam < 1.0:
         l2 = 0.0
         for name, arr in params.items():
@@ -497,10 +499,11 @@ def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarra
     params = params.copy()
     ws = gather_working_set(partition, x_after)
     opt = Adam(params, lr=cfg.lr, weight_decay=0.0)
+    buf = StepBuffers(params, ws.x.shape[0])
     log = FinetuneLog(rows_read=ws.rows)
     for epoch in range(cfg.epochs):
         value, grads, parts = fused_loss(params, ws, lam=cfg.lam, tau=cfg.tau,
-                                         l2_coef=cfg.l2_coef)
+                                         l2_coef=cfg.l2_coef, buf=buf)
         opt.step(params, grads)
         entry = {"epoch": epoch, "total": float(value)}
         entry.update({k: float(v) for k, v in parts.items()})

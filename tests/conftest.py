@@ -223,3 +223,32 @@ def loss_oracle(params, part, x_after, lam, tau=0.5, l2_coef=5e-4, step=1e-30):
             grads[name][idx] = _objective(params.mode, probe, part, x_after,
                                           lam, tau, l2_coef)[0].imag / step
     return float(value), grads, {key: float(val) for key, val in parts.items()}
+
+
+class TextbookAdam:
+    """Independent reference for model.Adam: one update per tensor.
+
+    m and v are dicts of per-tensor moments; the arithmetic, and its
+    order, is the textbook update that model.Adam's flat step must
+    reproduce bit for bit.
+    """
+
+    def __init__(self, params, lr, weight_decay=0.0,
+                 beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, arr in params.items():
+            g = grads[name]
+            if self.weight_decay:
+                g = g + self.weight_decay * arr
+            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1 ** self.t)
+            v_hat = v / (1 - self.beta2 ** self.t)
+            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -225,7 +225,11 @@ def test_negative_khop_is_rejected_with_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("propagation.k", "two"), ("nim.budget", "5"),
-                                        ("propagation.weights", 3), ("eval.rho", "x")])
+                                        ("propagation.weights", 3), ("eval.rho", "x"),
+                                        # json.loads takes NaN and Infinity
+                                        ("train.lr", float("nan")),
+                                        ("unlearn.tau", float("inf")),
+                                        ("propagation.weights", [1.0, float("-inf")])])
 def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     assert run("gen", write_config(tmp_path), out) == 0
@@ -235,6 +239,18 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     err = capsys.readouterr().err
     assert err.startswith("error=ConfigError")
     assert key in err and err.count("\n") == 1
+
+
+def test_non_utf8_input_file_fails_with_data_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    (out / "labels.tsv").write_bytes(b"\xff\xfe\n")
+    capsys.readouterr()
+    assert run("train", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=DataError") and err.count("\n") == 1
+    assert "labels.tsv" in err
 
 
 @pytest.mark.parametrize("request_doc", [

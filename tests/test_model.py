@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from graphunlearn.errors import CheckpointError, ConfigError, DataError, ShapeError
-from graphunlearn.model import (ModelParams, TrainConfig, backprop_cached,
-                                cross_entropy, forward_cache, forward_embed,
-                                grad_check, init_model, load_checkpoint, logits,
-                                predict, save_checkpoint, softmax, train)
+from graphunlearn import model
+from graphunlearn.model import (Adam, ModelParams, StepBuffers, TrainConfig,
+                                backprop_cached, cross_entropy, forward_cache,
+                                forward_embed, grad_check, init_model,
+                                load_checkpoint, logits, predict,
+                                save_checkpoint, softmax, train)
+
+from conftest import TextbookAdam
 
 
 def small_model(mode="mlp", seed=0):
@@ -129,13 +133,37 @@ def test_train_zero_epochs_returns_copy():
 
 
 def test_train_does_not_mutate_input_params():
-    p = small_model("mlp")
-    snap = p.copy()
     x = np.random.default_rng(6).standard_normal((6, 4))
     y = np.array([0, 1, 2, 0, 1, 2])
-    train(p, x, y, np.ones(6, dtype=bool), TrainConfig(epochs=5))
-    assert np.array_equal(p.w_emb, snap.w_emb)
-    assert np.array_equal(p.w_pre, snap.w_pre)
+    for mode in ("linear", "mlp"):
+        p = small_model(mode)
+        snap = p.copy()
+        train(p, x, y, np.ones(6, dtype=bool), TrainConfig(epochs=5))
+        for (name, arr), (_, before) in zip(p.items(), snap.items()):
+            assert np.array_equal(arr, before), f"{mode}/{name}"
+
+
+def test_trained_params_share_no_memory_with_step_buffers(monkeypatch):
+    made = []
+
+    class Recorded(StepBuffers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(model, "StepBuffers", Recorded)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((9, 4))
+    y = rng.integers(0, 3, size=9)
+    for mode in ("linear", "mlp"):
+        made.clear()
+        out, _ = train(small_model(mode), x, y, np.ones(9, dtype=bool),
+                       TrainConfig(epochs=3))
+        assert len(made) == 1           # one set of buffers per run
+        buffers = [v for v in vars(made[0]).values() if isinstance(v, np.ndarray)]
+        buffers += list(made[0].grads.values())
+        for name, arr in out.items():
+            assert not any(np.shares_memory(arr, b) for b in buffers), f"{mode}/{name}"
 
 
 def test_train_fits_separable_data():
@@ -157,12 +185,13 @@ def test_train_bit_identical_reruns():
     x = rng.standard_normal((10, 4))
     y = rng.integers(0, 3, size=10)
     mask = np.ones(10, dtype=bool)
-    p = small_model("mlp")
-    a, ha = train(p, x, y, mask, TrainConfig(epochs=20))
-    b, hb = train(p, x, y, mask, TrainConfig(epochs=20))
-    assert ha == hb
-    for (_, arr_a), (_, arr_b) in zip(a.items(), b.items()):
-        assert np.array_equal(arr_a, arr_b)
+    for mode in ("linear", "mlp"):
+        p = small_model(mode)
+        a, ha = train(p, x, y, mask, TrainConfig(epochs=20))
+        b, hb = train(p, x, y, mask, TrainConfig(epochs=20))
+        assert ha == hb
+        for (_, arr_a), (_, arr_b) in zip(a.items(), b.items()):
+            assert arr_a.tobytes() == arr_b.tobytes()
 
 
 def test_train_loss_decreases_with_small_lr():
@@ -199,6 +228,30 @@ def test_weight_decay_shrinks_weights():
     heavy, _ = train(p, x, y, np.ones(30, dtype=bool),
                      TrainConfig(weight_decay=0.1, epochs=200))
     assert np.linalg.norm(heavy.w_pre) < np.linalg.norm(lean.w_pre)
+
+
+def test_adam_matches_textbook_oracle():
+    # the flat in-place step must leave parameters and moments bit-identical
+    # to a per-tensor textbook update over many steps
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((20, 4))
+    y = rng.integers(0, 3, size=20)
+    for mode in ("linear", "mlp"):
+        for weight_decay in (0.0, 5e-4):
+            flat, ref = small_model(mode, seed=4), small_model(mode, seed=4)
+            opt = Adam(flat, lr=0.05, weight_decay=weight_decay)
+            oracle = TextbookAdam(ref, lr=0.05, weight_decay=weight_decay)
+            for _ in range(50):
+                _, grads = cross_entropy(ref, x, y)
+                oracle.step(ref, grads)
+                opt.step(flat, grads)
+            label = f"{mode}/wd={weight_decay}"
+            for (name, arr), (_, expect) in zip(flat.items(), ref.items()):
+                assert arr.tobytes() == expect.tobytes(), f"{label}/{name}"
+            names = [name for name, _ in ref.items()]
+            for got, moments in ((opt.m, oracle.m), (opt.v, oracle.v)):
+                expect = np.concatenate([moments[n].ravel() for n in names])
+                assert got.tobytes() == expect.tobytes(), label
 
 
 # ------------------------------------------------------------------- gradients
@@ -245,6 +298,24 @@ def test_cross_entropy_reused_forward_equals_separate_passes():
         assert set(grads) == set(expect_grads)
         for name in grads:
             assert np.array_equal(grads[name], expect_grads[name]), f"{mode}/{name}"
+
+
+def test_cross_entropy_with_reused_buffers_equals_fresh_buffers():
+    # buffers left dirty by an earlier call on other rows must not leak
+    # into the next result
+    rng = np.random.default_rng(15)
+    y = rng.integers(0, 3, size=30)
+    for mode in ("linear", "mlp"):
+        p = init_model(4, 8, 3, mode=mode, seed=3)
+        buf = StepBuffers(p, 30)
+        cross_entropy(p, rng.standard_normal((30, 4)) * 5.0, y[::-1], buf)
+        x = rng.standard_normal((30, 4))
+        loss, grads = cross_entropy(p, x, y, buf)
+        expect_loss, expect_grads = cross_entropy(p, x, y)
+        assert loss.tobytes() == expect_loss.tobytes()
+        assert set(grads) == set(expect_grads)
+        for name in grads:
+            assert grads[name].tobytes() == expect_grads[name].tobytes(), f"{mode}/{name}"
 
 
 # ----------------------------------------------------------------- checkpoints

@@ -14,7 +14,7 @@ from graphunlearn.unlearn import (EntityPartition, FinetuneConfig,
                                   transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
 
-from conftest import loss_oracle, make_graph
+from conftest import TextbookAdam, loss_oracle, make_graph
 
 
 # -------------------------------------------------------------------- requests
@@ -493,6 +493,25 @@ def test_finetune_deterministic_and_input_untouched():
     assert np.array_equal(params.w_pre, snap.w_pre)
     assert np.array_equal(a.w_pre, b.w_pre)
     assert la.epochs == lb.epochs
+
+
+def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
+    # finetune reuses one set of step buffers across epochs; the same
+    # epochs on fresh buffers with a per-tensor Adam give the same bytes
+    for mode in ("linear", "mlp"):
+        part, params, x_after, _ = partition_fixture(seed=1, mode=mode)
+        cfg = FinetuneConfig(epochs=8, lam=0.5)
+        out, log = finetune(params, part, x_after, cfg)
+        ref = params.copy()
+        oracle = TextbookAdam(ref, lr=cfg.lr)
+        ws = gather_working_set(part, x_after)
+        for entry in log.epochs:
+            value, grads, _ = fused_loss(ref, ws, lam=cfg.lam, tau=cfg.tau,
+                                         l2_coef=cfg.l2_coef)
+            assert value == entry["total"]
+            oracle.step(ref, grads)
+        for (name, arr), (_, expect) in zip(out.items(), ref.items()):
+            assert arr.tobytes() == expect.tobytes(), f"{mode}/{name}"
 
 
 def test_finetune_log_entries_have_all_components():
