@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -74,27 +75,63 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def _read_lines(path):
-    return [ln for ln in read_text(path).splitlines() if ln.strip()]
+# The integer grammar of every text format: optional sign, ASCII digits,
+# optional whitespace around the field, and the value must fit int64.
+# numpy parses the fields; these patterns only locate the first line it
+# rejected, so valid input never meets them.
+_FIELD = r"[^\S\t]*[+-]?[0-9]+[^\S\t]*"
+_PAIR = re.compile(rf"({_FIELD})\t({_FIELD})")
+_SINGLE = re.compile(r"\s*([+-]?[0-9]+)\s*")
+_INT64 = np.iinfo(np.int64)
+
+
+def _read_ints(path, cols: int) -> np.ndarray:
+    """Parse the non-blank lines of a text file into an (m, cols) int64 array.
+
+    Two-column files are tab-separated; one-column files hold one integer
+    per line.  A line that does not parse raises DataError naming
+    `path:i`, with i counted among non-blank lines.
+    """
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+    if not lines:
+        return np.empty((0, cols), dtype=np.int64)
+    try:
+        rows = np.loadtxt(lines, delimiter="\t" if cols == 2 else None,
+                          dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != cols:
+        raise _first_bad_line(path, lines, cols)
+    return rows
+
+
+def _first_bad_line(path, lines, cols: int) -> DataError:
+    """The DataError for the first line off the grammar or beyond int64."""
+    pattern, form = (_PAIR, "'int<TAB>int'") if cols == 2 else (_SINGLE, "one integer")
+    for i, line in enumerate(lines, start=1):
+        match = pattern.fullmatch(line)
+        if match is None or not all(_INT64.min <= int(f) <= _INT64.max
+                                    for f in match.groups()):
+            return DataError(f"{path}:{i}: expected {form} within int64, got {line!r}")
+    return DataError(f"{path}: malformed integer table")
+
+
+def _check_range(path, nodes, n: int, error) -> None:
+    """Raise `error` naming the first line whose node lies outside [0, n)."""
+    bad = (nodes < 0) | (nodes >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"{path}:{i + 1}: node {nodes[i]} outside [0, {n})")
 
 
 def read_edge_list(path) -> np.ndarray:
     """Parse an edge file into an (m, 2) int array."""
-    rows = []
-    for i, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{i}: expected 'u<TAB>v', got {line!r}")
-        try:
-            rows.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise DataError(f"{path}:{i}: non-integer endpoint in {line!r}") from exc
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    return _read_ints(path, 2)
 
 
 def write_edge_list(path, edges) -> None:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    write_text(path, "".join(f"{u}\t{v}\n" for u, v in edges))
+    write_text(path, "".join(f"{u}\t{v}\n" for u, v in edges.tolist()))
 
 
 def read_features(path) -> np.ndarray:
@@ -130,44 +167,41 @@ def write_features(path, features) -> None:
 
 
 def read_labels(path, n: int) -> np.ndarray:
+    """Parse a label file; a node outside [0, n) or listed twice is a DataError."""
+    rows = _read_ints(path, 2)
+    nodes = rows[:, 0]
+    _check_range(path, nodes, n, DataError)
+    first = np.unique(nodes, return_index=True)[1]
+    if first.size != nodes.size:
+        repeat = np.ones(nodes.size, dtype=bool)
+        repeat[first] = False
+        i = int(np.argmax(repeat))
+        raise DataError(f"{path}:{i + 1}: node {nodes[i]} labeled twice")
     labels = np.full(n, UNLABELED, dtype=np.int64)
-    for i, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{i}: expected 'node<TAB>class', got {line!r}")
-        try:
-            node, cls = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}:{i}: non-integer field in {line!r}") from exc
-        if not 0 <= node < n:
-            raise DataError(f"{path}:{i}: node {node} outside [0, {n})")
-        labels[node] = cls
+    labels[nodes] = rows[:, 1]
     return labels
 
 
 def write_labels(path, labels) -> None:
     labels = np.asarray(labels, dtype=np.int64)
-    lines = (f"{node}\t{cls}\n" for node, cls in enumerate(labels) if cls != UNLABELED)
-    write_text(path, "".join(lines))
+    nodes = np.flatnonzero(labels != UNLABELED)
+    write_text(path, "".join(f"{node}\t{cls}\n" for node, cls in
+                             zip(nodes.tolist(), labels[nodes].tolist())))
 
 
 def read_mask(path, n: int) -> np.ndarray:
+    """Parse a mask file; repeated ids are allowed, ids outside [0, n) are a MaskError."""
+    nodes = _read_ints(path, 1)[:, 0]
+    _check_range(path, nodes, n, MaskError)
     mask = np.zeros(n, dtype=bool)
-    for i, line in enumerate(_read_lines(path), start=1):
-        try:
-            node = int(line.strip())
-        except ValueError as exc:
-            raise DataError(f"{path}:{i}: non-integer node id {line!r}") from exc
-        if not 0 <= node < n:
-            raise MaskError(f"{path}:{i}: node {node} outside [0, {n})")
-        mask[node] = True
+    mask[nodes] = True
     return mask
 
 
 def write_mask(path, mask) -> None:
     mask = np.asarray(mask)
     ids = np.flatnonzero(mask) if mask.dtype == bool else np.asarray(mask, dtype=np.int64)
-    write_text(path, "".join(f"{i}\n" for i in ids))
+    write_text(path, "".join(f"{i}\n" for i in ids.tolist()))
 
 
 def load_graph(edge_path, feature_path, label_path=None,

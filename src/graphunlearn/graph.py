@@ -150,14 +150,13 @@ def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None
 
     loops = int(np.sum(edges[:, 0] == edges[:, 1]))
     edges = edges[edges[:, 0] != edges[:, 1]]
-    # symmetrize then dedupe on an encoded key; unique also sorts rows
+    # symmetrize, sort an encoded key (row-major order), drop repeats
     both = np.vstack([edges, edges[:, ::-1]])
-    keys = np.unique(both[:, 0] * np.int64(n) + both[:, 1]) if both.size else np.empty(0, np.int64)
-    src, dst = keys // n, keys % n
+    keys = np.sort(both[:, 0] * np.int64(n) + both[:, 1])
+    keys = keys[np.diff(keys, prepend=np.int64(-1)) != 0]
+    src, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    indices = dst
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
     if labels is None:
         labels = np.full(n, UNLABELED, dtype=np.int64)

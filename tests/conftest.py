@@ -225,6 +225,65 @@ def loss_oracle(params, part, x_after, lam, tau=0.5, l2_coef=5e-4, step=1e-30):
     return float(value), grads, {key: float(val) for key, val in parts.items()}
 
 
+class ReadReject(Exception):
+    """Raised by the reference readers: `kind` names the library error the
+    real reader must raise, `line` the 1-based index among non-blank lines."""
+
+    def __init__(self, kind, line):
+        super().__init__(f"{kind} at line {line}")
+        self.kind, self.line = kind, line
+
+
+def _nonblank_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return [ln for ln in fh.read().splitlines() if ln.strip()]
+
+
+def edge_list_oracle(path):
+    """Line-by-line reference for fileio.read_edge_list: (m, 2) int64."""
+    rows = []
+    for i, line in enumerate(_nonblank_lines(path), start=1):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ReadReject("DataError", i)
+        try:
+            rows.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ReadReject("DataError", i) from None
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def labels_oracle(path, n):
+    """Line-by-line reference for fileio.read_labels (a repeated node: last wins)."""
+    labels = np.full(n, -1, dtype=np.int64)
+    for i, line in enumerate(_nonblank_lines(path), start=1):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ReadReject("DataError", i)
+        try:
+            node, cls = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ReadReject("DataError", i) from None
+        if not 0 <= node < n:
+            raise ReadReject("DataError", i)
+        labels[node] = cls
+    return labels
+
+
+def mask_oracle(path, n):
+    """Line-by-line reference for fileio.read_mask: (n,) bool."""
+    mask = np.zeros(n, dtype=bool)
+    for i, line in enumerate(_nonblank_lines(path), start=1):
+        try:
+            node = int(line.strip())
+        except ValueError:
+            raise ReadReject("DataError", i) from None
+        if not 0 <= node < n:
+            raise ReadReject("MaskError", i)
+        mask[node] = True
+    return mask
+
+
 class TextbookAdam:
     """Independent reference for model.Adam: one update per tensor.
 

@@ -241,16 +241,22 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     assert key in err and err.count("\n") == 1
 
 
-def test_non_utf8_input_file_fails_with_data_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("name,data", [
+    ("labels.tsv", b"\xff\xfe\n"),
+    ("edges.tsv", b"0\t1\n0\t99999999999999999999\n"),
+    ("labels.tsv", b"1\t0\n0\t99999999999999999999\n"),
+    ("labels.tsv", b"1\t0\n1\t3\n"),
+], ids=["non-utf8", "edge-beyond-int64", "label-beyond-int64", "label-twice"])
+def test_malformed_input_file_fails_with_data_error_line(tmp_path, capsys, name, data):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert run("gen", cfg, out) == 0
-    (out / "labels.tsv").write_bytes(b"\xff\xfe\n")
+    (out / name).write_bytes(data)
     capsys.readouterr()
     assert run("train", cfg, out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error=DataError") and err.count("\n") == 1
-    assert "labels.tsv" in err
+    assert name in err
 
 
 @pytest.mark.parametrize("request_doc", [

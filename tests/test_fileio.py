@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from graphunlearn.fileio import (FEATURE_MAGIC, load_graph, read_edge_list,
                                  save_graph, write_edge_list, write_features,
                                  write_labels, write_mask)
 
-from conftest import make_graph
+from conftest import (ReadReject, edge_list_oracle, labels_oracle, make_graph,
+                      mask_oracle)
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -143,6 +145,116 @@ def test_load_graph_without_optional_files(tmp_path):
     g2 = load_graph(tmp_path / "e", tmp_path / "x")
     assert np.all(g2.labels == -1)
     assert not g2.train_mask.any()
+
+
+def _spell(rng, value):
+    """One spelling of an integer that both the reference and fileio accept."""
+    text = str(value)
+    if value >= 0 and rng.random() < 0.2:
+        text = "+" + text
+    return " " * int(rng.integers(0, 3)) + text + " " * int(rng.integers(0, 3))
+
+
+_FAULTS = {
+    "edges": ["1\t2\t3", "1 2", "1.5\t2", "x\t2", "3"],
+    "labels": ["1\t2\t3", "1 2", "1\t0.5", "a\t1", "{n}\t0", "-1\t0"],
+    "mask": ["1 2", "1\t2", "1.5", "x", "{n}", "-1"],
+}
+
+
+def _random_table(rng, fmt, n):
+    """A generated file of format `fmt` with at most one faulty line.
+
+    Fields come with surrounding spaces and leading '+' signs; lines end
+    in LF or CRLF, with blank and whitespace-only lines between them.
+    Labels list each node at most once and use -1 for unlabeled.
+    """
+    size = int(rng.integers(0, 12))
+    if fmt == "edges":
+        rows = rng.integers(0, n, size=(size, 2)).tolist()
+    elif fmt == "labels":
+        nodes = rng.choice(n, size=min(size, n), replace=False)
+        rows = [[int(v), int(rng.integers(-1, 4))] for v in nodes]
+    else:
+        rows = rng.integers(0, n, size=(size, 1)).tolist()
+    lines = []
+    for row in rows:
+        lines.append("\t".join(_spell(rng, v) for v in row))
+        if rng.random() < 0.25:
+            lines.append(str(rng.choice(["", "   ", " \t "])))
+    if rng.random() < 0.5:
+        fault = str(rng.choice(_FAULTS[fmt])).format(n=n)
+        lines.insert(int(rng.integers(0, len(lines) + 1)), fault)
+    end = str(rng.choice(["\n", "\r\n"]))
+    return end.join(lines) + (end if rng.random() < 0.5 else "")
+
+
+_READERS = {
+    "edges": (read_edge_list, edge_list_oracle),
+    "labels": (lambda p: read_labels(p, 6), lambda p: labels_oracle(p, 6)),
+    "mask": (lambda p: read_mask(p, 6), lambda p: mask_oracle(p, 6)),
+}
+
+
+def _check_against_oracle(fmt, path):
+    read, oracle = _READERS[fmt]
+    try:
+        want = oracle(path)
+    except ReadReject as reject:
+        with pytest.raises((DataError, MaskError)) as info:
+            read(path)
+        assert type(info.value).__name__ == reject.kind
+        assert f"{path}:{reject.line}:" in str(info.value)
+        return
+    got = read(path)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fmt", sorted(_READERS))
+def test_readers_match_line_by_line_oracle(tmp_path, fmt):
+    rng = np.random.default_rng(list(_READERS).index(fmt))
+    path = tmp_path / "table.txt"
+    for _ in range(150):
+        path.write_bytes(_random_table(rng, fmt, 6).encode("utf-8"))
+        _check_against_oracle(fmt, path)
+
+
+@pytest.mark.parametrize("fmt", sorted(_READERS))
+def test_empty_file_reads_empty_without_warning(tmp_path, fmt):
+    path = tmp_path / "table.txt"
+    for text in ("", "\n", " \r\n\t\n"):
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_against_oracle(fmt, path)
+    assert read_edge_list(path).shape == (0, 2)
+
+
+@pytest.mark.parametrize("text", ["1_0\t2\n", "\u0661\t2\n", "0\t\uff13\n"],
+                         ids=["underscore", "arabic-indic-digit", "fullwidth-digit"])
+def test_integers_beyond_ascii_digits_are_rejected(tmp_path, text):
+    # int() accepted these spellings; the readers take ASCII digits only
+    path = tmp_path / "edges.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert edge_list_oracle(path).shape == (1, 2)
+    with pytest.raises(DataError, match=f"{path}:1:"):
+        read_edge_list(path)
+
+
+def test_integers_beyond_int64_are_rejected(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("0\t9223372036854775807\n0\t9223372036854775808\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"{path}:2:"):
+        read_edge_list(path)
+    path.write_text("0\t-9223372036854775808\n", encoding="utf-8")
+    assert read_edge_list(path).tolist() == [[0, -9223372036854775808]]
+
+
+def test_labels_reject_a_node_listed_twice(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("0\t1\n1\t0\n\n1\t3\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"{path}:3: node 1 labeled twice"):
+        read_labels(path, 4)
 
 
 def test_fileio_is_the_only_module_touching_the_disk():

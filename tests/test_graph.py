@@ -26,6 +26,29 @@ def test_build_dedup_and_symmetrize():
     assert not g.has_edge(0, 2)
 
 
+def _unique_csr(n, edges):
+    """np.unique-based CSR build: the reference for build_graph's sort dedup."""
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    both = np.vstack([edges, edges[:, ::-1]])
+    keys = np.unique(both[:, 0] * n + both[:, 1])
+    return np.searchsorted(keys // n, np.arange(n + 1)), keys % n
+
+
+def test_build_matches_unique_based_build():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        # repeat some rows as they are, mirror others, and add self-loops
+        picks = rng.integers(0, max(len(edges), 1), size=len(edges) // 2)
+        loops = np.repeat(rng.integers(0, n, size=(3, 1)), 2, axis=1)
+        edges = np.vstack([edges, edges[picks], edges[picks][:, ::-1], loops])
+        g = make_graph(n, edges)
+        indptr, indices = _unique_csr(n, edges)
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+
+
 def test_edge_direction_is_irrelevant():
     a = make_graph(5, [(0, 1), (1, 2), (3, 4)])
     b = make_graph(5, [(1, 0), (2, 1), (4, 3)])
