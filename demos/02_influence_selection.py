@@ -63,11 +63,11 @@ picked = select_hie(op, config, seeds, soft, theta=0.6, budget=12)
 print("\ngreedy picks in order:", picked.nodes.tolist())
 print("scores:", np.round(picked.scores, 3).tolist())
 same = int((graph.labels[picked.nodes] == 0).sum())
-print(f"{same}/{len(picked)} picks share the seeds' community")
+print(f"{same}/{picked.nodes.size} picks share the seeds' community")
 
 # the same budget spent on plain graph distance
 khop = khop_hie_capped(graph, seeds, hops=2, budget=12)
 overlap = np.intersect1d(picked.nodes, khop).size
 print("\n2-hop alternative:", khop.tolist())
-print(f"overlap: {overlap}/{len(picked)} "
+print(f"overlap: {overlap}/{picked.nodes.size} "
       "(influence ranks by propagation weight, not hop count)")

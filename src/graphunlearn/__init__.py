@@ -13,9 +13,8 @@ from .errors import (CheckpointError, ConfigError, DataError,
                      PrototypeError, RequestError, ShapeError)
 from .graph import (Graph, PropagationConfig, SparseOperator, build_graph,
                     normalized_adjacency, propagate, propagation_column)
-from .model import (Adam, ModelParams, TrainConfig, forward_embed, grad_check,
-                    init_model, load_checkpoint, predict, save_checkpoint,
-                    train)
+from .model import (Adam, ModelParams, TrainConfig, forward_embed, init_model,
+                    load_checkpoint, predict, save_checkpoint, train)
 from .influence import HieSelection, select_hie
 from .unlearn import (EntityPartition, FinetuneConfig, UnlearnRequest,
                       apply_removal, build_prototypes, finetune,

@@ -38,7 +38,7 @@ from .influence import write_hie_csv
 from .model import load_checkpoint, save_checkpoint
 from .pipeline import (Pipeline, RunConfig, loaded_state, propagate_graph,
                        retrain_state, test_f1, train_state, unlearn_state)
-from .unlearn import (UnlearnRequest, read_request, transform_request,
+from .unlearn import (UnlearnRequest, check_request, read_request,
                       write_request)
 
 STAGES = ("gen", "train", "unlearn", "retrain", "attack")
@@ -148,8 +148,7 @@ def cmd_attack(cfg: RunConfig, out: Path, seed: int) -> None:
     graph = _load_dataset(cfg, out)
     metrics: dict = {}
     if cfg.attack == "mia":
-        request = read_request(_data_path(cfg, out, "request"))
-        ue = transform_request(request)
+        ue = check_request(graph, read_request(_data_path(cfg, out, "request")))
         _, x_tilde = propagate_graph(graph, cfg)
         pool = graph.test_nodes()
         reports = {}

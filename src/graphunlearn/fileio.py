@@ -117,11 +117,14 @@ def _first_bad_line(path, lines, cols: int) -> DataError:
 
 
 def _check_range(path, nodes, n: int, error) -> None:
-    """Raise `error` naming the first line whose node lies outside [0, n)."""
+    """Raise `error` naming the first line with a node outside [0, n).
+
+    nodes holds one row per line: a vector, or an (m, cols) table.
+    """
     bad = (nodes < 0) | (nodes >= n)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise error(f"{path}:{i + 1}: node {nodes[i]} outside [0, {n})")
+        at = np.unravel_index(np.argmax(bad), bad.shape)  # row-major: first bad line
+        raise error(f"{path}:{at[0] + 1}: node {nodes[at]} outside [0, {n})")
 
 
 def read_edge_list(path) -> np.ndarray:
@@ -210,6 +213,7 @@ def load_graph(edge_path, feature_path, label_path=None,
     features = read_features(feature_path)
     n = features.shape[0]
     edges = read_edge_list(edge_path)
+    _check_range(edge_path, edges, n, DataError)
     labels = read_labels(label_path, n) if label_path else None
     train = read_mask(train_mask_path, n) if train_mask_path else None
     test = read_mask(test_mask_path, n) if test_mask_path else None

@@ -20,8 +20,6 @@ from .errors import ConfigError, DataError, MaskError, ShapeError
 
 UNLABELED = -1
 
-_SCHEMES = ("sgc", "s2gc", "gbp", "custom")
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -34,8 +32,6 @@ class Graph:
         features: (n, f) float64 node features.
         labels: (n,) int64, UNLABELED (-1) marks nodes without a label.
         train_mask, test_mask: (n,) bool, disjoint.
-        self_loops_dropped: count of self-loop entries dropped from the
-            edge list handed to build_graph.
     """
 
     n: int
@@ -45,7 +41,6 @@ class Graph:
     labels: np.ndarray
     train_mask: np.ndarray
     test_mask: np.ndarray
-    self_loops_dropped: int = 0
 
     def __post_init__(self):
         for arr in (self.indptr, self.indices, self.features, self.labels,
@@ -65,10 +60,6 @@ class Graph:
     def num_classes(self) -> int:
         labeled = self.labels[self.labels != UNLABELED]
         return int(labeled.max()) + 1 if labeled.size else 0
-
-    def degrees(self) -> np.ndarray:
-        """Degree of every node, self-loops excluded."""
-        return np.diff(self.indptr)
 
     def neighbors(self, u: int) -> np.ndarray:
         if not 0 <= u < self.n:
@@ -119,8 +110,7 @@ def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None
     """Construct a validated Graph from an edge list.
 
     Duplicate edges are collapsed, (u, v) is mirrored to (v, u), and
-    self-loops in the input are dropped (their count is recorded on the
-    returned graph).
+    self-loops in the input are dropped.
 
     Args:
         n: number of nodes.
@@ -148,7 +138,6 @@ def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None
     if not np.isfinite(features).all():
         raise DataError("features contain non-finite values")
 
-    loops = int(np.sum(edges[:, 0] == edges[:, 1]))
     edges = edges[edges[:, 0] != edges[:, 1]]
     # symmetrize, sort an encoded key (row-major order), drop repeats
     both = np.vstack([edges, edges[:, ::-1]])
@@ -173,8 +162,7 @@ def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None
         raise MaskError("train and test masks overlap")
 
     return Graph(n=n, indptr=indptr, indices=indices, features=features,
-                 labels=labels, train_mask=tr, test_mask=te,
-                 self_loops_dropped=loops)
+                 labels=labels, train_mask=tr, test_mask=te)
 
 
 @dataclass(frozen=True)
@@ -207,49 +195,47 @@ def normalized_adjacency(graph: Graph, r: float = 0.5) -> SparseOperator:
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Steps k plus the per-power weight vector w (length k + 1)."""
+    """The per-power weight vector w; its length fixes the steps k."""
 
-    k: int
-    scheme: str
     weights: tuple
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"unknown propagation scheme {self.scheme!r}")
-        if self.k < 0:
-            raise ConfigError(f"propagation steps must be nonnegative, got {self.k}")
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (self.k + 1,):
-            raise ConfigError(f"weight vector must have length k+1={self.k + 1}, got {w.shape}")
+        if w.ndim != 1 or w.size == 0:
+            raise ConfigError(f"weight vector must be 1-d and nonempty, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ConfigError("propagation weights must be finite")
+        object.__setattr__(self, "weights", tuple(w.tolist()))
+
+    @property
+    def k(self) -> int:
+        """Propagation steps: one fewer than the weights."""
+        return len(self.weights) - 1
+
+    @staticmethod
+    def _check_steps(k: int) -> None:
+        if k < 0:
+            raise ConfigError(f"propagation steps must be nonnegative, got {k}")
 
     @classmethod
     def sgc(cls, k: int) -> "PropagationConfig":
         """Only the k-th power: w_k = 1, all other weights 0."""
-        w = [0.0] * k + [1.0]
-        return cls(k=k, scheme="sgc", weights=tuple(w))
+        cls._check_steps(k)
+        return cls(weights=(0.0,) * k + (1.0,))
 
     @classmethod
     def s2gc(cls, k: int) -> "PropagationConfig":
         """Uniform average over powers 0..k."""
-        if k < 0:
-            raise ConfigError(f"propagation steps must be nonnegative, got {k}")
-        w = [1.0 / (k + 1)] * (k + 1)
-        return cls(k=k, scheme="s2gc", weights=tuple(w))
+        cls._check_steps(k)
+        return cls(weights=(1.0 / (k + 1),) * (k + 1))
 
     @classmethod
     def gbp(cls, k: int, beta: float) -> "PropagationConfig":
         """Geometric decay w_l = beta * (1 - beta)^l."""
+        cls._check_steps(k)
         if not 0.0 < beta <= 1.0:
             raise ConfigError(f"gbp decay beta must lie in (0, 1], got {beta}")
-        w = [beta * (1.0 - beta) ** l for l in range(k + 1)]
-        return cls(k=k, scheme="gbp", weights=tuple(w))
-
-    @classmethod
-    def custom(cls, weights) -> "PropagationConfig":
-        w = tuple(float(x) for x in weights)
-        return cls(k=len(w) - 1, scheme="custom", weights=w)
+        return cls(weights=tuple(beta * (1.0 - beta) ** l for l in range(k + 1)))
 
 
 def propagate(op: SparseOperator, x: np.ndarray, config: PropagationConfig) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DataError
 from .fileio import write_text
@@ -52,9 +53,6 @@ class HieSelection:
 
     nodes: np.ndarray
     scores: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.nodes.size)
 
 
 def select_hie(op: SparseOperator, config: PropagationConfig, ue,
@@ -127,32 +125,20 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
                         scores=np.asarray(picked_scores, dtype=np.float64))
 
 
-def bfs_distances(graph: Graph, seeds, max_hops: int | None = None) -> np.ndarray:
-    """Hop distance from the seed set to every node, -1 when unreached."""
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[seeds] = 0
-    frontier = seeds
-    d = 0
-    while frontier.size and (max_hops is None or d < max_hops):
-        nbrs = np.concatenate([graph.neighbors(int(u)) for u in frontier]) \
-            if frontier.size else np.empty(0, np.int64)
-        nxt = np.unique(nbrs[dist[nbrs] < 0]) if nbrs.size else np.empty(0, np.int64)
-        d += 1
-        dist[nxt] = d
-        frontier = nxt
-    return dist
-
-
 def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> np.ndarray:
     """k-hop neighborhood trimmed to a budget, closest hops first.
 
     Within one hop level nodes are taken in id order.  This keeps the
     naive neighborhood baseline comparable to a budgeted greedy run.
     """
-    if budget < 0:
-        raise ConfigError(f"budget must be nonnegative, got {budget}")
-    dist = bfs_distances(graph, ue, max_hops=hops)
+    if hops < 0 or budget < 0:
+        raise ConfigError(f"hops and budget must be nonnegative, got {hops} and {budget}")
+    seeds = np.unique(np.asarray(ue, dtype=np.int64))
+    if seeds.size and (seeds[0] < 0 or seeds[-1] >= graph.n):
+        raise IndexError(f"seed node outside [0, {graph.n})")
+    # hop count from the nearest seed, inf beyond `hops` or unreachable
+    dist = dijkstra(graph.adjacency(), indices=seeds, unweighted=True,
+                    limit=hops, min_only=True)
     inside = np.flatnonzero((dist > 0) & (dist <= hops))
     order = np.lexsort((inside, dist[inside]))
     return np.sort(inside[order][:budget])

@@ -44,9 +44,6 @@ class ModelParams:
                     ("w_pre", self.w_pre), ("b_pre", self.b_pre)]
         return [("w_pre", self.w_pre), ("b_pre", self.b_pre)]
 
-    def get(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
     def copy(self) -> "ModelParams":
         return ModelParams(mode=self.mode,
                            w_pre=self.w_pre.copy(), b_pre=self.b_pre.copy(),
@@ -152,13 +149,9 @@ def forward_embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return forward_cache(params, x)[1]
 
 
-def logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Pre-softmax scores straight from input features."""
-    return forward_cache(params, x)[2]
-
-
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    z = logits(params, x)
+    """Softmax of the logits of each input row."""
+    z = forward_cache(params, x)[2]
     return softmax(z, out=z)
 
 
@@ -300,35 +293,6 @@ def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
         opt.step(params, grads)
         history.append(float(loss))
     return params, history
-
-
-def grad_check(params: ModelParams, loss_fn, seed: int = 0,
-               num_probes: int = 20, step: float = 1e-6) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn maps params to (scalar, grads dict).  num_probes random
-    parameter coordinates are probed; returns the max relative error
-    |analytic - fd| / max(1, |analytic|, |fd|).
-    """
-    rng = np.random.default_rng(seed)
-    _, grads = loss_fn(params)
-    names = [name for name, _ in params.items()]
-    worst = 0.0
-    for _ in range(num_probes):
-        name = names[rng.integers(len(names))]
-        arr = params.get(name)
-        idx = tuple(rng.integers(d) for d in arr.shape)
-        orig = arr[idx]
-        arr[idx] = orig + step
-        up, _ = loss_fn(params)
-        arr[idx] = orig - step
-        down, _ = loss_fn(params)
-        arr[idx] = orig
-        fd = (up - down) / (2.0 * step)
-        an = grads[name][idx]
-        err = abs(an - fd) / max(1.0, abs(an), abs(fd))
-        worst = max(worst, err)
-    return worst
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

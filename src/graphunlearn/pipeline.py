@@ -23,9 +23,9 @@ from .graph import (Graph, PropagationConfig, SparseOperator,
 from .influence import HieSelection, khop_hie_capped, select_hie
 from .evaluate import f1_score
 from .model import ModelParams, TrainConfig, init_model, predict, train
-from .unlearn import (EntityPartition, FinetuneConfig, FinetuneLog,
-                      UnlearnRequest, apply_removal, finetune,
-                      prepare_partition, transform_request)
+from .unlearn import (FinetuneConfig, FinetuneLog, UnlearnRequest,
+                      apply_removal, finetune, prepare_partition,
+                      transform_request)
 
 
 def _fits(kind: str, value) -> bool:
@@ -192,7 +192,7 @@ class RunConfig:
         if self.scheme == "gbp":
             return PropagationConfig.gbp(self.k, self.beta)
         if self.scheme == "custom":
-            return PropagationConfig.custom(self.weights)
+            return PropagationConfig(weights=self.weights)
         raise ConfigError(f"unknown propagation scheme {self.scheme!r}")
 
     def train_config(self) -> TrainConfig:
@@ -229,7 +229,6 @@ class UnlearnOutcome:
     ue: np.ndarray
     hie: np.ndarray
     selection: Optional[HieSelection]
-    partition: EntityPartition
     log: FinetuneLog
 
 
@@ -257,26 +256,26 @@ def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
                          soft=predict(params, x_tilde), history=history)
 
 
-def select_influenced(state: PipelineState, ue: np.ndarray, cfg: RunConfig):
-    """Pick the HIE set with the configured method on the trained state."""
-    budget = cfg.budget_for(ue.size)
-    if cfg.method == "khop":
-        hie = khop_hie_capped(state.graph, ue, cfg.khop, budget)
-        return hie, None
-    selection = select_hie(state.op, cfg.propagation_config(), ue, state.soft,
-                           theta=cfg.theta, budget=budget, mode=cfg.selection_mode)
-    return np.sort(selection.nodes), selection
-
-
 def unlearn_state(state: PipelineState, request: UnlearnRequest,
                   cfg: RunConfig, seed: int) -> UnlearnOutcome:
-    """Run removal, selection and fine-tuning on a trained state."""
-    ue = transform_request(request)
-    hie, selection = select_influenced(state, ue, cfg)
+    """Run removal, selection and fine-tuning on a trained state.
 
+    Selection reads only the pre-removal state, so removing first (which
+    checks the request) changes nothing but which error a bad request
+    meets.
+    """
     graph_after = apply_removal(state.graph, request)
-    op_after, x_after = propagate_graph(graph_after, cfg)
+    ue = transform_request(request)
+    budget = cfg.budget_for(ue.size)
+    if cfg.method == "khop":
+        selection = None
+        hie = khop_hie_capped(state.graph, ue, cfg.khop, budget)
+    else:
+        selection = select_hie(state.op, cfg.propagation_config(), ue, state.soft,
+                               theta=cfg.theta, budget=budget, mode=cfg.selection_mode)
+        hie = np.sort(selection.nodes)
 
+    op_after, x_after = propagate_graph(graph_after, cfg)
     partition = prepare_partition(
         graph_after, x_after, ue, hie, state.soft, state.params,
         x_before=state.x_tilde, num_classes=state.params.num_classes,
@@ -287,8 +286,7 @@ def unlearn_state(state: PipelineState, request: UnlearnRequest,
     new_state = PipelineState(graph=graph_after, op=op_after, x_tilde=x_after,
                               params=params, soft=predict(params, x_after),
                               history=[e["total"] for e in log.epochs])
-    return UnlearnOutcome(state=new_state, ue=ue, hie=hie, selection=selection,
-                          partition=partition, log=log)
+    return UnlearnOutcome(state=new_state, ue=ue, hie=hie, selection=selection, log=log)
 
 
 def retrain_state(graph: Graph, request: UnlearnRequest, cfg: RunConfig,

@@ -131,6 +131,22 @@ def transform_request(request: UnlearnRequest) -> np.ndarray:
     return np.asarray(nodes, dtype=np.int64)
 
 
+def check_request(graph: Graph, request: UnlearnRequest) -> np.ndarray:
+    """The request's unlearned-entity node set, checked against the graph.
+
+    Raises IndexError for the first node outside [0, n) and RequestError
+    for the first node that is not part of the training set.
+    """
+    ue = transform_request(request)
+    bad = ue[(ue < 0) | (ue >= graph.n)]
+    if bad.size:
+        raise IndexError(f"request node {int(bad[0])} outside [0, {graph.n})")
+    outside = ue[~graph.train_mask[ue]]
+    if outside.size:
+        raise RequestError(f"node {int(outside[0])} is not in the training set")
+    return ue
+
+
 def apply_removal(graph: Graph, request: UnlearnRequest) -> Graph:
     """Carry out the requested removal; node count never changes.
 
@@ -139,16 +155,10 @@ def apply_removal(graph: Graph, request: UnlearnRequest) -> Graph:
     node     incident edges vanish, the feature row is zeroed, and the
              node leaves the training mask
 
-    Raises RequestError when an entity does not exist or when a
-    referenced node is not part of the training set.
+    Raises what check_request raises, and RequestError when a listed
+    edge does not exist.
     """
-    ue = transform_request(request)
-    if ue.size and (ue.min() < 0 or ue.max() >= graph.n):
-        raise IndexError(f"request references node outside [0, {graph.n})")
-    outside = ue[~graph.train_mask[ue]]
-    if outside.size:
-        raise RequestError(f"node {int(outside[0])} is not in the training set")
-
+    ue = check_request(graph, request)
     edges = graph.undirected_edges()
     features = graph.features.copy()
     train_mask = graph.train_mask.copy()
@@ -218,21 +228,14 @@ class EntityPartition:
     erased, and for node removals the post-removal rows would be zero.
     """
 
-    n: int
     ue: np.ndarray
     hie: np.ndarray
-    rest: np.ndarray
     shuffled_labels: np.ndarray     # aligned with ue
     ue_train_rows: np.ndarray       # (|ue|, f) pre-removal propagated rows
     ue_prototype: np.ndarray        # (|ue|, d) assigned foreign prototypes
-    positives: list                 # per anchor: node ids in rest
+    positives: list                 # per anchor: node ids outside ue and hie
     negatives: list                 # per anchor: node ids in ue or hie
     memory: np.ndarray              # (|hie|, classes) original soft labels
-
-    def __post_init__(self):
-        pieces = np.concatenate([self.ue, self.hie, self.rest])
-        if np.unique(pieces).size != pieces.size or pieces.size != self.n:
-            raise ConfigError("ue, hie and rest must partition the node set")
 
 
 def _sample_pool(rng, pool: np.ndarray, pool_labels: np.ndarray,
@@ -258,12 +261,11 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     model's predictions (argmax of original_soft) so that no test labels
     leak in; prototypes are built from the labeled training remainder.
     """
-    n = graph_after.n
     ue = np.unique(np.asarray(ue, dtype=np.int64))
     hie = np.unique(np.asarray(hie, dtype=np.int64))
     if np.intersect1d(ue, hie).size:
         raise ConfigError("unlearned entities cannot be selected as influenced nodes")
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(graph_after.n, dtype=bool)
     keep[ue] = False
     keep[hie] = False
     rest = np.flatnonzero(keep)
@@ -302,8 +304,7 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     memory = predict(original_params, np.asarray(x_after, dtype=np.float64)[hie]) \
         if hie.size else np.zeros((0, num_classes))
 
-    return EntityPartition(n=n, ue=ue, hie=hie, rest=rest,
-                           shuffled_labels=shuffled,
+    return EntityPartition(ue=ue, hie=hie, shuffled_labels=shuffled,
                            ue_train_rows=np.asarray(x_before, dtype=np.float64)[ue],
                            ue_prototype=ue_proto, positives=positives, negatives=negatives,
                            memory=memory)

@@ -225,6 +225,57 @@ def loss_oracle(params, part, x_after, lam, tau=0.5, l2_coef=5e-4, step=1e-30):
     return float(value), grads, {key: float(val) for key, val in parts.items()}
 
 
+def grad_check(params, loss_fn, seed=0, num_probes=20, step=1e-6):
+    """Compare analytic gradients against central finite differences.
+
+    loss_fn maps params to (scalar, grads dict).  num_probes random
+    parameter coordinates are probed; returns the max relative error
+    |analytic - fd| / max(1, |analytic|, |fd|).
+    """
+    rng = np.random.default_rng(seed)
+    _, grads = loss_fn(params)
+    names = [name for name, _ in params.items()]
+    worst = 0.0
+    for _ in range(num_probes):
+        name = names[rng.integers(len(names))]
+        arr = getattr(params, name)
+        idx = tuple(rng.integers(d) for d in arr.shape)
+        orig = arr[idx]
+        arr[idx] = orig + step
+        up, _ = loss_fn(params)
+        arr[idx] = orig - step
+        down, _ = loss_fn(params)
+        arr[idx] = orig
+        fd = (up - down) / (2.0 * step)
+        an = grads[name][idx]
+        err = abs(an - fd) / max(1.0, abs(an), abs(fd))
+        worst = max(worst, err)
+    return worst
+
+
+def bfs_distances(graph, seeds, max_hops=None):
+    """Hop distance from the seed set to every node, -1 when unreached.
+
+    A plain queue over the CSR rows, the reference for the k-hop
+    baseline's distances.
+    """
+    dist = np.full(graph.n, -1, dtype=np.int64)
+    queue = sorted({int(s) for s in seeds})
+    for s in queue:
+        dist[s] = 0
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        if max_hops is not None and dist[u] >= max_hops:
+            continue
+        for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(int(v))
+    return dist
+
+
 class ReadReject(Exception):
     """Raised by the reference readers: `kind` names the library error the
     real reader must raise, `line` the 1-based index among non-blank lines."""

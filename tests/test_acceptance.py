@@ -18,8 +18,8 @@ from graphunlearn.evaluate import edge_attack_run, mia_attack
 from graphunlearn.graph import (PropagationConfig, normalized_adjacency,
                                 propagate, propagation_column)
 from graphunlearn.influence import select_hie
-from graphunlearn.model import (TrainConfig, cross_entropy, grad_check,
-                                init_model, predict, train)
+from graphunlearn.model import (TrainConfig, cross_entropy, init_model,
+                                predict, train)
 from graphunlearn.pipeline import (Pipeline, RunConfig, retrain_state,
                                    train_state, unlearn_state)
 from graphunlearn.pipeline import test_f1 as pipeline_f1
@@ -27,7 +27,7 @@ from graphunlearn.unlearn import (FinetuneConfig, UnlearnRequest,
                                   apply_removal, finetune, fused_loss,
                                   gather_working_set, prepare_partition)
 
-from conftest import (dense_pi, influence_oracle, make_graph,
+from conftest import (dense_pi, grad_check, influence_oracle, make_graph,
                       random_connected_graph, walk_pi_matrix)
 
 # ---------------------------------------------------------------------------
@@ -215,13 +215,13 @@ def test_04_greedy_selection_properties():
         b_large = b_small + int(rng.integers(1, 6))
         small = select_hie(op, config, ue, soft, 0.0, b_small, "expanding")
         large = select_hie(op, config, ue, soft, 0.0, b_large, "expanding")
-        if not np.array_equal(small.nodes, large.nodes[:len(small)]):
+        if not np.array_equal(small.nodes, large.nodes[:small.nodes.size]):
             violations.append((trial, "budget-prefix"))
 
         lo = select_hie(op, config, ue, soft, 0.0, b_large, "static")
-        hi = select_hie(op, config, ue, soft, float(np.median(lo.scores)) if len(lo)
+        hi = select_hie(op, config, ue, soft, float(np.median(lo.scores)) if lo.nodes.size
                         else 0.5, b_large, "static")
-        if not np.array_equal(hi.nodes, lo.nodes[:len(hi)]):
+        if not np.array_equal(hi.nodes, lo.nodes[:hi.nodes.size]):
             violations.append((trial, "theta-monotone"))
 
         # re-derive every greedy pick from the dense oracle

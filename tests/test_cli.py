@@ -246,7 +246,9 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     ("edges.tsv", b"0\t1\n0\t99999999999999999999\n"),
     ("labels.tsv", b"1\t0\n0\t99999999999999999999\n"),
     ("labels.tsv", b"1\t0\n1\t3\n"),
-], ids=["non-utf8", "edge-beyond-int64", "label-beyond-int64", "label-twice"])
+    ("edges.tsv", b"0\t1\n0\t500\n"),
+], ids=["non-utf8", "edge-beyond-int64", "label-beyond-int64", "label-twice",
+        "edge-endpoint-beyond-n"])
 def test_malformed_input_file_fails_with_data_error_line(tmp_path, capsys, name, data):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -275,6 +277,24 @@ def test_malformed_request_fails_with_error_line(tmp_path, capsys, request_doc):
     assert run("unlearn", cfg, out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error=ConfigError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("node", [-1, BASE_CONFIG["datagen.n"]])
+@pytest.mark.parametrize("stage, overrides", [
+    ("unlearn", {}), ("unlearn", {"nim.method": "khop"}), ("retrain", {}), ("attack", {}),
+], ids=["unlearn-influence", "unlearn-khop", "retrain", "attack"])
+def test_request_node_out_of_range_fails_alike_in_every_stage(tmp_path, capsys, stage,
+                                                              overrides, node):
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    (out / "request.json").write_text(json.dumps({"kind": "node", "nodes": [0, node]}),
+                                      encoding="utf-8")
+    capsys.readouterr()
+    assert run(stage, cfg, out) == 1
+    n = BASE_CONFIG["datagen.n"]
+    assert capsys.readouterr().err == f"error=IndexError request node {node} outside [0, {n})\n"
 
 
 def test_out_below_regular_file_fails_with_io_error_line(tmp_path, capsys):

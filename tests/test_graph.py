@@ -56,15 +56,15 @@ def test_edge_direction_is_irrelevant():
     assert np.array_equal(a.indices, b.indices)
 
 
-def test_self_loops_dropped_and_counted():
+def test_self_loops_dropped():
     g = make_graph(3, [(0, 0), (1, 1), (0, 1)])
-    assert g.self_loops_dropped == 2
     assert g.num_edges == 1
+    assert not g.has_edge(0, 0) and not g.has_edge(1, 1)
 
 
 def test_degrees_and_neighbors():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert list(g.degrees()) == [3, 1, 1, 1]
+    assert list(np.diff(g.indptr)) == [3, 1, 1, 1]
     assert list(g.neighbors(0)) == [1, 2, 3]
     assert list(g.neighbors(2)) == [0]
     with pytest.raises(IndexError):
@@ -166,11 +166,16 @@ def test_operator_rejects_bad_exponent(path3):
 def test_sgc_weights():
     cfg = PropagationConfig.sgc(3)
     assert cfg.weights == (0.0, 0.0, 0.0, 1.0)
+    assert cfg.k == 3
+    assert PropagationConfig.sgc(0).weights == (1.0,)
+    with pytest.raises(ConfigError):
+        PropagationConfig.sgc(-1)
 
 
 def test_s2gc_weights():
     cfg = PropagationConfig.s2gc(3)
     assert cfg.weights == (0.25, 0.25, 0.25, 0.25)
+    assert cfg.k == 3
     with pytest.raises(ConfigError):
         PropagationConfig.s2gc(-1)
 
@@ -178,30 +183,32 @@ def test_s2gc_weights():
 def test_gbp_weights():
     cfg = PropagationConfig.gbp(2, beta=0.5)
     assert np.allclose(cfg.weights, (0.5, 0.25, 0.125))
+    assert cfg.k == 2
     with pytest.raises(ConfigError):
         PropagationConfig.gbp(2, beta=0.0)
     with pytest.raises(ConfigError):
         PropagationConfig.gbp(2, beta=1.5)
+    with pytest.raises(ConfigError):
+        PropagationConfig.gbp(-1, beta=0.5)
 
 
 def test_custom_weights_and_validation():
-    cfg = PropagationConfig.custom([0.5, 0.5])
+    cfg = PropagationConfig(weights=[0.5, 0.5])
+    assert cfg.weights == (0.5, 0.5)
     assert cfg.k == 1
     with pytest.raises(ConfigError):
-        PropagationConfig(k=2, scheme="custom", weights=(1.0,))
+        PropagationConfig(weights=())
     with pytest.raises(ConfigError):
-        PropagationConfig(k=1, scheme="magic", weights=(0.5, 0.5))
+        PropagationConfig(weights=[[0.5, 0.5]])
     with pytest.raises(ConfigError):
-        PropagationConfig(k=-1, scheme="custom", weights=())
-    with pytest.raises(ConfigError):
-        PropagationConfig.custom([1.0, np.inf])
+        PropagationConfig(weights=[1.0, np.inf])
 
 
 # -------------------------------------------------------------------- propagate
 
 def test_propagate_identity_weights(path3):
     op = normalized_adjacency(path3, r=1.0)
-    cfg = PropagationConfig.custom([1.0])
+    cfg = PropagationConfig(weights=[1.0])
     out = propagate(op, path3.features, cfg)
     assert np.allclose(out, path3.features)
 

@@ -3,11 +3,10 @@ import pytest
 
 from graphunlearn.errors import ConfigError, DataError
 from graphunlearn.graph import PropagationConfig, normalized_adjacency
-from graphunlearn.influence import (HieSelection, bfs_distances,
-                                    khop_hie_capped, select_hie,
+from graphunlearn.influence import (HieSelection, khop_hie_capped, select_hie,
                                     write_hie_csv)
 
-from conftest import (dense_pi, influence_oracle, make_graph,
+from conftest import (bfs_distances, dense_pi, influence_oracle, make_graph,
                       random_connected_graph, walk_pi_matrix)
 
 
@@ -161,14 +160,13 @@ def test_select_star_static_picks_smallest_leaves():
 def test_select_above_max_threshold_selects_nothing():
     _, op, cfg, z = star_fixture()
     sel = select_hie(op, cfg, ue=[0], soft_labels=z, theta=2.0 + 1e-9, budget=4)
-    assert len(sel) == 0
     assert sel.nodes.size == 0 and sel.scores.size == 0
 
 
 def test_select_zero_budget():
     _, op, cfg, z = star_fixture()
     sel = select_hie(op, cfg, ue=[0], soft_labels=z, theta=0.0, budget=0)
-    assert len(sel) == 0
+    assert sel.nodes.size == 0
 
 
 def test_select_validation_errors():
@@ -247,10 +245,40 @@ def test_select_theta_filters_low_scores_static():
 # ------------------------------------------------------------------ khop + bfs
 
 def test_bfs_distances_path():
+    # the oracle itself, on a path where every distance is known
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert list(bfs_distances(g, [0])) == [0, 1, 2, 3]
     assert list(bfs_distances(g, [0], max_hops=2)) == [0, 1, 2, -1]
     assert list(bfs_distances(g, [1, 3])) == [1, 0, 1, 0]
+
+
+def khop_oracle(g, ue, hops, budget):
+    """Budgeted k-hop set from the BFS oracle: nearest hop, then smallest id."""
+    dist = bfs_distances(g, ue, max_hops=hops)
+    inside = [v for v in range(g.n) if 0 < dist[v] <= hops]
+    return sorted(sorted(inside, key=lambda v: (dist[v], v))[:budget])
+
+
+def test_khop_capped_matches_bfs_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        n = int(rng.integers(2, 25))
+        # a sparse random edge list, so some nodes sit out of reach
+        g = make_graph(n, rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2)))
+        ue = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        for hops in range(4):
+            for budget in (0, 1, 3, n + 1):
+                got = khop_hie_capped(g, ue, hops, budget)
+                assert got.tolist() == khop_oracle(g, ue, hops, budget)
+
+
+def test_khop_rejects_seed_out_of_range():
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    for seed in (-1, g.n):
+        with pytest.raises(IndexError):
+            khop_hie_capped(g, [0, seed], hops=2, budget=g.n)
+    with pytest.raises(ConfigError):
+        khop_hie_capped(g, [0], hops=-1, budget=g.n)
 
 
 def test_khop_path_two_hops():

@@ -5,11 +5,14 @@ from graphunlearn.errors import CheckpointError, ConfigError, DataError, ShapeEr
 from graphunlearn import model
 from graphunlearn.model import (Adam, ModelParams, StepBuffers, TrainConfig,
                                 backprop_cached, cross_entropy, forward_cache,
-                                forward_embed, grad_check, init_model,
-                                load_checkpoint, logits, predict,
-                                save_checkpoint, softmax, train)
+                                forward_embed, init_model, load_checkpoint,
+                                predict, save_checkpoint, softmax, train)
 
-from conftest import TextbookAdam
+from conftest import TextbookAdam, grad_check
+
+
+def logits(params, x):
+    return forward_cache(params, x)[2]
 
 
 def small_model(mode="mlp", seed=0):

@@ -5,7 +5,7 @@ from graphunlearn.errors import (ConfigError, DataError, PrototypeError,
                                  RequestError)
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.model import (ModelParams, TrainConfig, forward_embed,
-                                grad_check, init_model, predict, train)
+                                init_model, predict, train)
 from graphunlearn.unlearn import (EntityPartition, FinetuneConfig,
                                   UnlearnRequest, apply_removal,
                                   build_prototypes, finetune, fused_loss,
@@ -14,7 +14,7 @@ from graphunlearn.unlearn import (EntityPartition, FinetuneConfig,
                                   transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
 
-from conftest import TextbookAdam, loss_oracle, make_graph
+from conftest import TextbookAdam, grad_check, loss_oracle, make_graph
 
 
 # -------------------------------------------------------------------- requests
@@ -212,10 +212,15 @@ def partition_fixture(seed=0, ue=(0, 3), hie=(1, 2, 4), mode="mlp"):
     return part, params, x_after, x
 
 
+def rest_of(part, n):
+    """Nodes outside UE and HIE."""
+    return np.setdiff1d(np.arange(n), np.concatenate([part.ue, part.hie]))
+
+
 def test_partition_covers_node_set():
-    part, _, _, _ = partition_fixture()
-    united = np.sort(np.concatenate([part.ue, part.hie, part.rest]))
-    assert np.array_equal(united, np.arange(part.n))
+    part, _, x_after, _ = partition_fixture()
+    united = np.concatenate([part.ue, part.hie, rest_of(part, len(x_after))])
+    assert np.array_equal(np.sort(united), np.arange(len(x_after)))
 
 
 def test_partition_rejects_overlap():
@@ -232,10 +237,11 @@ def test_partition_caches_pre_removal_rows():
 
 
 def test_partition_pools_stay_in_bounds():
-    part, _, _, _ = partition_fixture()
+    part, _, x_after, _ = partition_fixture()
+    rest = set(rest_of(part, len(x_after)))
     ue_hie = set(part.ue) | set(part.hie)
     for i, anchor in enumerate(part.hie):
-        assert set(part.positives[i]) <= set(part.rest)
+        assert set(part.positives[i]) <= rest
         assert set(part.negatives[i]) <= ue_hie - {int(anchor)}
 
 
@@ -306,8 +312,7 @@ def toy_partition():
                         [1.0, -1.0]])    # negative
     params = ModelParams(mode="linear", w_pre=np.eye(2), b_pre=np.zeros(2))
     part = EntityPartition(
-        n=4, ue=np.array([0]), hie=np.array([1]), rest=np.array([2, 3]),
-        shuffled_labels=np.array([1]),
+        ue=np.array([0]), hie=np.array([1]), shuffled_labels=np.array([1]),
         ue_train_rows=np.array([[2.0, -1.0]]),
         ue_prototype=np.array([[0.0, 3.0]]),
         positives=[np.array([2])], negatives=[np.array([3])],
