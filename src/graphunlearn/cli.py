@@ -257,6 +257,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out = Path(args.out)
         seed = args.seed if args.seed is not None else cfg.seed
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         if args.seeds and args.command != "report":
             seeds = _parse_seed_range(args.seeds)
             make_dir(out)

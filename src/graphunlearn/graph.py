@@ -176,7 +176,7 @@ class SparseOperator:
         return self.matrix.shape[0]
 
 
-def normalized_adjacency(graph: Graph, r: float = 0.5) -> SparseOperator:
+def normalized_adjacency(graph: Graph, r: float) -> SparseOperator:
     """Build the propagation operator with self-loops added on the fly.
 
     r = 0.5 gives the symmetric normalization D^(-1/2) (A+I) D^(-1/2),

@@ -25,6 +25,7 @@ from .fileio import read_bytes, write_bytes
 CHECKPOINT_MAGIC = b"GUWT"
 _MODE_BYTE = {"linear": 0, "mlp": 1}
 _BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -207,21 +208,9 @@ def cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
     return loss, backprop_cached(params, x, z1, emb, p, buf=buf)
 
 
-@dataclass
-class TrainConfig:
-    """Full-batch training knobs."""
-
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    epochs: int = 200
-
-    def __post_init__(self):
-        if self.lr < 0 or self.weight_decay < 0 or self.epochs < 0:
-            raise ConfigError("lr, weight_decay and epochs must be nonnegative")
-
-
 class Adam:
-    """Plain Adam; weight decay is added to the raw gradient.
+    """Plain Adam with the ADAM_* constants; weight decay is added to the
+    raw gradient.
 
     The moments m and v are flat vectors over every parameter in
     declaration order.  A step gathers the gradients into one flat
@@ -230,11 +219,9 @@ class Adam:
     result is bit-identical to it.
     """
 
-    def __init__(self, params: ModelParams, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ModelParams, lr: float, weight_decay: float):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         size = sum(arr.size for _, arr in params.items())
         self.m = np.zeros(size)
@@ -251,17 +238,17 @@ class Adam:
             np.concatenate([arr.ravel() for _, arr in items], out=tmp)
             tmp *= self.weight_decay
             g += tmp
-        m *= self.beta1
-        m += np.multiply(g, 1 - self.beta1, out=tmp)
-        v *= self.beta2
-        np.multiply(g, 1 - self.beta2, out=tmp)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=tmp)
         tmp *= g
         v += tmp
-        update = np.divide(m, 1 - self.beta1 ** self.t, out=tmp)
+        update = np.divide(m, 1 - ADAM_BETA1 ** self.t, out=tmp)
         update *= self.lr
-        denom = np.divide(v, 1 - self.beta2 ** self.t, out=g)
+        denom = np.divide(v, 1 - ADAM_BETA2 ** self.t, out=g)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         update /= denom
         offset = 0
         for _, arr in items:
@@ -270,12 +257,14 @@ class Adam:
 
 
 def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
-          train_mask: np.ndarray, cfg: TrainConfig):
-    """Full-batch cross-entropy training on the masked rows.
+          train_mask: np.ndarray, *, lr: float, weight_decay: float, epochs: int):
+    """Full-batch Adam cross-entropy training on the masked rows.
 
     Returns (trained params, per-epoch loss list).  The input params are
     left untouched.
     """
+    if lr < 0 or weight_decay < 0 or epochs < 0:
+        raise ConfigError("lr, weight_decay and epochs must be nonnegative")
     train_ids = np.flatnonzero(np.asarray(train_mask))
     if train_ids.size == 0:
         raise ConfigError("training mask selects no nodes")
@@ -285,10 +274,10 @@ def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
     x = np.asarray(x_tilde, dtype=np.float64)[train_ids]
 
     params = params.copy()
-    opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(params, lr, weight_decay)
     buf = StepBuffers(params, x.shape[0])
     history = []
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         loss, grads = cross_entropy(params, x, y, buf)
         opt.step(params, grads)
         history.append(float(loss))

@@ -22,10 +22,9 @@ from .graph import (Graph, PropagationConfig, SparseOperator,
                     normalized_adjacency, propagate)
 from .influence import HieSelection, khop_hie_capped, select_hie
 from .evaluate import f1_score
-from .model import ModelParams, TrainConfig, init_model, predict, train
-from .unlearn import (FinetuneConfig, FinetuneLog, UnlearnRequest,
-                      apply_removal, finetune, prepare_partition,
-                      transform_request)
+from .model import ModelParams, init_model, predict, train
+from .unlearn import (FinetuneLog, UnlearnRequest, apply_removal, finetune,
+                      prepare_partition, transform_request)
 
 
 def _fits(kind: str, value) -> bool:
@@ -137,7 +136,8 @@ class RunConfig:
 
         int fields take integers (not booleans), float fields any finite
         number, and list fields lists of finite numbers; eval.rho also
-        takes one number.
+        takes one number.  Scheme "custom" without propagation.k takes
+        k from its weights.
         """
         kinds = {f.name: f.type for f in dc_fields(cls)}
         kwargs = {}
@@ -155,6 +155,8 @@ class RunConfig:
             if kinds[name] == "tuple":
                 value = tuple(float(v) for v in value)
             kwargs[name] = value
+        if kwargs.get("scheme") == "custom" and "k" not in kwargs:
+            kwargs["k"] = len(kwargs.get("weights", ())) - 1
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -170,6 +172,15 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
+        if self.scheme == "custom" and self.k != len(self.weights) - 1:
+            raise ConfigError(f"propagation.k must be {len(self.weights) - 1} for "
+                              f"{len(self.weights)} propagation.weights, got {self.k}")
+        if self.scheme != "custom" and self.weights:
+            raise ConfigError("propagation.weights are read only by scheme 'custom', "
+                              f"not {self.scheme!r}")
+        if not 0.0 < self.gen_ue_fraction <= 1.0:
+            raise ConfigError("datagen.ue_fraction must lie in (0, 1], "
+                              f"got {self.gen_ue_fraction}")
         if self.method not in ("influence", "khop"):
             raise ConfigError(f"nim.method must be 'influence' or 'khop', got {self.method!r}")
         if self.budget is not None and self.budget < 0:
@@ -178,6 +189,10 @@ class RunConfig:
             raise ConfigError("nim.budget_multiplier must be nonnegative")
         if self.khop < 0:
             raise ConfigError(f"nim.khop must be nonnegative, got {self.khop}")
+        for key, count in (("unlearn.positives", self.positives),
+                           ("unlearn.negatives", self.negatives)):
+            if count < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {count}")
         if self.attack not in ("mia", "edge"):
             raise ConfigError(f"eval.attack must be 'mia' or 'edge', got {self.attack!r}")
         for rho in self.rho:
@@ -194,14 +209,6 @@ class RunConfig:
         if self.scheme == "custom":
             return PropagationConfig(weights=self.weights)
         raise ConfigError(f"unknown propagation scheme {self.scheme!r}")
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, weight_decay=self.weight_decay,
-                           epochs=self.epochs)
-
-    def finetune_config(self) -> FinetuneConfig:
-        return FinetuneConfig(lr=self.finetune_lr, epochs=self.finetune_epochs,
-                              lam=self.lam, tau=self.tau, l2_coef=self.l2_coef)
 
     def budget_for(self, num_ue: int) -> int:
         if self.budget is not None:
@@ -251,7 +258,7 @@ def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
     fresh = init_model(graph.num_features, cfg.hidden, graph.num_classes,
                        mode=cfg.mode, seed=seed)
     params, history = train(fresh, x_tilde, graph.labels, graph.train_mask,
-                            cfg.train_config())
+                            lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs)
     return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params,
                          soft=predict(params, x_tilde), history=history)
 
@@ -278,10 +285,11 @@ def unlearn_state(state: PipelineState, request: UnlearnRequest,
     op_after, x_after = propagate_graph(graph_after, cfg)
     partition = prepare_partition(
         graph_after, x_after, ue, hie, state.soft, state.params,
-        x_before=state.x_tilde, num_classes=state.params.num_classes,
-        positives_per_anchor=cfg.positives, negatives_per_anchor=cfg.negatives,
-        seed=seed)
-    params, log = finetune(state.params, partition, x_after, cfg.finetune_config())
+        x_before=state.x_tilde, positives_per_anchor=cfg.positives,
+        negatives_per_anchor=cfg.negatives, seed=seed)
+    params, log = finetune(state.params, partition, x_after, lr=cfg.finetune_lr,
+                           epochs=cfg.finetune_epochs, lam=cfg.lam, tau=cfg.tau,
+                           l2_coef=cfg.l2_coef)
 
     new_state = PipelineState(graph=graph_after, op=op_after, x_tilde=x_after,
                               params=params, soft=predict(params, x_after),

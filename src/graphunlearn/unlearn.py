@@ -252,15 +252,17 @@ def _sample_pool(rng, pool: np.ndarray, pool_labels: np.ndarray,
 
 def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
                       original_soft: np.ndarray, original_params: ModelParams,
-                      x_before: np.ndarray, num_classes: int,
-                      positives_per_anchor: int = 5, negatives_per_anchor: int = 5,
-                      seed: int = 0) -> EntityPartition:
+                      x_before: np.ndarray, *, positives_per_anchor: int,
+                      negatives_per_anchor: int, seed: int) -> EntityPartition:
     """Assemble the working set for fine-tuning.
 
     Label assignments for the contrastive pools come from the original
     model's predictions (argmax of original_soft) so that no test labels
     leak in; prototypes are built from the labeled training remainder.
     """
+    if positives_per_anchor < 0 or negatives_per_anchor < 0:
+        raise ConfigError("positives and negatives per anchor must be nonnegative")
+    num_classes = original_params.num_classes
     ue = np.unique(np.asarray(ue, dtype=np.int64))
     hie = np.unique(np.asarray(hie, dtype=np.int64))
     if np.intersect1d(ue, hie).size:
@@ -308,25 +310,6 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
                            ue_train_rows=np.asarray(x_before, dtype=np.float64)[ue],
                            ue_prototype=ue_proto, positives=positives, negatives=negatives,
                            memory=memory)
-
-
-@dataclass
-class FinetuneConfig:
-    """Entity-specific fine-tuning knobs."""
-
-    lr: float = 0.01
-    epochs: int = 50
-    lam: float = 0.5
-    tau: float = 0.5
-    l2_coef: float = 5e-4
-
-    def __post_init__(self):
-        if self.lr < 0 or self.epochs < 0:
-            raise ConfigError("lr and epochs must be nonnegative")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
 
 
 @dataclass
@@ -418,9 +401,8 @@ def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float):
     return value, demb
 
 
-def fused_loss(params: ModelParams, ws: WorkingSet, lam: float,
-               tau: float = 0.5, l2_coef: float = 5e-4,
-               buf: StepBuffers | None = None):
+def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
+               l2_coef: float, buf: StepBuffers | None = None):
     """The fine-tune objective in one forward and one backward pass over ws.x.
 
     Returns (value, grads, parts): parts holds the five terms unweighted,
@@ -489,7 +471,7 @@ class FinetuneLog:
 
 
 def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarray,
-             cfg: FinetuneConfig):
+             *, lr: float, epochs: int, lam: float, tau: float, l2_coef: float):
     """Adam fine-tuning of the mixed objective over the working set.
 
     Returns (new params, FinetuneLog).  The log records every loss
@@ -497,14 +479,20 @@ def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarra
     are HIE plus the sampled positives/negatives (UE rows come from the
     partition cache).
     """
+    if lr < 0 or epochs < 0:
+        raise ConfigError("lr and epochs must be nonnegative")
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
+    if tau <= 0:
+        raise ConfigError(f"tau must be positive, got {tau}")
     params = params.copy()
     ws = gather_working_set(partition, x_after)
-    opt = Adam(params, lr=cfg.lr, weight_decay=0.0)
+    opt = Adam(params, lr, weight_decay=0.0)
     buf = StepBuffers(params, ws.x.shape[0])
     log = FinetuneLog(rows_read=ws.rows)
-    for epoch in range(cfg.epochs):
-        value, grads, parts = fused_loss(params, ws, lam=cfg.lam, tau=cfg.tau,
-                                         l2_coef=cfg.l2_coef, buf=buf)
+    for epoch in range(epochs):
+        value, grads, parts = fused_loss(params, ws, lam=lam, tau=tau,
+                                         l2_coef=l2_coef, buf=buf)
         opt.step(params, grads)
         entry = {"epoch": epoch, "total": float(value)}
         entry.update({k: float(v) for k, v in parts.items()})

@@ -18,14 +18,13 @@ from graphunlearn.evaluate import edge_attack_run, mia_attack
 from graphunlearn.graph import (PropagationConfig, normalized_adjacency,
                                 propagate, propagation_column)
 from graphunlearn.influence import select_hie
-from graphunlearn.model import (TrainConfig, cross_entropy, init_model,
-                                predict, train)
+from graphunlearn.model import cross_entropy, init_model, predict, train
 from graphunlearn.pipeline import (Pipeline, RunConfig, retrain_state,
                                    train_state, unlearn_state)
 from graphunlearn.pipeline import test_f1 as pipeline_f1
-from graphunlearn.unlearn import (FinetuneConfig, UnlearnRequest,
-                                  apply_removal, finetune, fused_loss,
-                                  gather_working_set, prepare_partition)
+from graphunlearn.unlearn import (UnlearnRequest, apply_removal, finetune,
+                                  fused_loss, gather_working_set,
+                                  prepare_partition)
 
 from conftest import (dense_pi, grad_check, influence_oracle, make_graph,
                       random_connected_graph, walk_pi_matrix)
@@ -118,7 +117,7 @@ def _training_setup(mode: str, seed: int = 0):
     x = propagate(op, graph.features, config)
     params = init_model(4, 6, classes, mode=mode, seed=seed)
     params, _ = train(params, x, graph.labels, graph.train_mask,
-                      TrainConfig(epochs=40))
+                      lr=0.01, weight_decay=5e-4, epochs=40)
     return graph, config, x, params
 
 
@@ -132,14 +131,14 @@ def test_02_gradients_match_finite_differences():
         request = UnlearnRequest(kind="node", nodes=(0, 3))
         after = apply_removal(graph, request)
         x_after = propagate(normalized_adjacency(after, 0.5), after.features, config)
-        part = prepare_partition(after, x_after, ue, hie, soft, params,
-                                 x_before=x, num_classes=3, seed=0)
+        part = prepare_partition(after, x_after, ue, hie, soft, params, x_before=x,
+                                 positives_per_anchor=5, negatives_per_anchor=5, seed=0)
         rows = graph.train_mask
         ws = gather_working_set(part, x_after)
         losses = {"ce": lambda p: cross_entropy(p, x[rows], graph.labels[rows])}
         for lam in (0.0, 0.3, 1.0):
             losses[f"fused/lambda={lam}"] = \
-                lambda p, lam=lam: fused_loss(p, ws, lam=lam)[:2]
+                lambda p, lam=lam: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4)[:2]
         for name, fn in losses.items():
             worst[f"{mode}/{name}"] = grad_check(params, fn, seed=7, num_probes=20)
     dt = time.perf_counter() - t0
@@ -367,7 +366,7 @@ def _finetune_setup(n: int, seed: int):
                         cfg.propagation_config())
     part = prepare_partition(after, x_after, ue, np.sort(hie), state.soft,
                              state.params, x_before=state.x_tilde,
-                             num_classes=4, seed=seed)
+                             positives_per_anchor=5, negatives_per_anchor=5, seed=seed)
     return state.params, part, x_after
 
 
@@ -376,7 +375,7 @@ def test_09_finetune_cost_tracks_entities_not_graph_size():
     # the sizes, so machine drift over the run lands on both sides of
     # the ratio instead of between them.
     sizes, seeds = (2000, 4000), range(3)
-    ft = FinetuneConfig(lr=0.001, epochs=40, lam=0.1)
+    ft = dict(lr=0.001, epochs=40, lam=0.1, tau=0.5, l2_coef=5e-4)
     setups = {(n, s): _finetune_setup(n, s) for n in sizes for s in seeds}
     best = dict.fromkeys(setups, float("inf"))
     for _ in range(5):
@@ -384,8 +383,8 @@ def test_09_finetune_cost_tracks_entities_not_graph_size():
             for n in sizes:
                 params, part, x_after = setups[n, s]
                 t0 = time.perf_counter()
-                finetune(params, part, x_after, ft)
-                best[n, s] = min(best[n, s], (time.perf_counter() - t0) / ft.epochs)
+                finetune(params, part, x_after, **ft)
+                best[n, s] = min(best[n, s], (time.perf_counter() - t0) / ft["epochs"])
     small, large = (np.mean([best[n, s] for s in seeds]) for n in sizes)
     ratio = large / small
     ok = ratio <= 1.3

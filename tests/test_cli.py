@@ -224,6 +224,51 @@ def test_negative_khop_is_rejected_with_error_line(tmp_path, capsys):
     assert "nim.khop" in err and err.count("\n") == 1
 
 
+def test_custom_weights_without_k_record_the_steps_they_run(tmp_path):
+    doc = {key: v for key, v in BASE_CONFIG.items() if key != "propagation.k"}
+    doc.update({"propagation.scheme": "custom", "propagation.weights": [0.5, 0.5]})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run("gen", str(cfg), out) == 0
+    assert run("train", str(cfg), out) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+    assert resolved["propagation.k"] == 1
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"propagation.scheme": "custom", "propagation.weights": [0.5, 0.5],
+      "propagation.k": 3}, "propagation.k"),
+    ({"propagation.weights": [0.5, 0.5]}, "propagation.weights"),
+    ({"propagation.scheme": "gbp", "propagation.weights": [1.0]}, "propagation.weights"),
+    ({"unlearn.positives": -1}, "unlearn.positives"),
+    ({"unlearn.negatives": -1}, "unlearn.negatives"),
+    ({"datagen.ue_fraction": 2.0}, "datagen.ue_fraction"),
+    ({"datagen.ue_fraction": -0.5}, "datagen.ue_fraction"),
+    ({"datagen.ue_fraction": 0.0}, "datagen.ue_fraction"),
+], ids=["custom-k-disagrees", "weights-with-s2gc", "weights-with-gbp", "negative-positives",
+        "negative-negatives", "ue-fraction-2", "ue-fraction-neg", "ue-fraction-0"])
+def test_out_of_range_config_value_fails_with_error_line(tmp_path, capsys, overrides, key):
+    out = tmp_path / "run"
+    assert run("gen", write_config(tmp_path, overrides), out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConfigError")
+    assert key in err and err.count("\n") == 1
+    assert not (out / "request.json").exists()
+
+
+def test_negative_seed_fails_with_error_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("gen", write_config(tmp_path), out, seed=-1) == 1
+    from_flag = capsys.readouterr().err
+    assert run("gen", write_config(tmp_path, {"seed": -1}), out) == 1
+    from_config = capsys.readouterr().err
+    for err in (from_flag, from_config):
+        assert err.startswith("error=ConfigError")
+        assert "seed" in err and err.count("\n") == 1
+    assert not (out / "edges.tsv").exists()
+
+
 @pytest.mark.parametrize("key, value", [("propagation.k", "two"), ("nim.budget", "5"),
                                         ("propagation.weights", 3), ("eval.rho", "x"),
                                         # json.loads takes NaN and Infinity

@@ -3,7 +3,7 @@ import pytest
 
 from graphunlearn.errors import CheckpointError, ConfigError, DataError, ShapeError
 from graphunlearn import model
-from graphunlearn.model import (Adam, ModelParams, StepBuffers, TrainConfig,
+from graphunlearn.model import (Adam, ModelParams, StepBuffers,
                                 backprop_cached, cross_entropy, forward_cache,
                                 forward_embed, init_model, load_checkpoint,
                                 predict, save_checkpoint, softmax, train)
@@ -129,7 +129,7 @@ def test_train_zero_epochs_returns_copy():
     x = np.random.default_rng(5).standard_normal((6, 4))
     y = np.array([0, 1, 2, 0, 1, 2])
     mask = np.ones(6, dtype=bool)
-    out, hist = train(p, x, y, mask, TrainConfig(epochs=0))
+    out, hist = train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=0)
     assert hist == []
     assert np.array_equal(out.w_pre, p.w_pre)
     assert out is not p
@@ -141,7 +141,7 @@ def test_train_does_not_mutate_input_params():
     for mode in ("linear", "mlp"):
         p = small_model(mode)
         snap = p.copy()
-        train(p, x, y, np.ones(6, dtype=bool), TrainConfig(epochs=5))
+        train(p, x, y, np.ones(6, dtype=bool), lr=0.01, weight_decay=5e-4, epochs=5)
         for (name, arr), (_, before) in zip(p.items(), snap.items()):
             assert np.array_equal(arr, before), f"{mode}/{name}"
 
@@ -161,7 +161,7 @@ def test_trained_params_share_no_memory_with_step_buffers(monkeypatch):
     for mode in ("linear", "mlp"):
         made.clear()
         out, _ = train(small_model(mode), x, y, np.ones(9, dtype=bool),
-                       TrainConfig(epochs=3))
+                       lr=0.01, weight_decay=5e-4, epochs=3)
         assert len(made) == 1           # one set of buffers per run
         buffers = [v for v in vars(made[0]).values() if isinstance(v, np.ndarray)]
         buffers += list(made[0].grads.values())
@@ -177,7 +177,7 @@ def test_train_fits_separable_data():
     for mode in ("linear", "mlp"):
         p = init_model(4, 8, 3, mode=mode, seed=0)
         out, hist = train(p, x, y, np.ones(60, dtype=bool),
-                          TrainConfig(epochs=100))
+                          lr=0.01, weight_decay=5e-4, epochs=100)
         pred = np.argmax(predict(out, x), axis=1)
         assert (pred == y).mean() >= 0.95
         assert hist[-1] < hist[0]
@@ -190,8 +190,8 @@ def test_train_bit_identical_reruns():
     mask = np.ones(10, dtype=bool)
     for mode in ("linear", "mlp"):
         p = small_model(mode)
-        a, ha = train(p, x, y, mask, TrainConfig(epochs=20))
-        b, hb = train(p, x, y, mask, TrainConfig(epochs=20))
+        a, ha = train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=20)
+        b, hb = train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=20)
         assert ha == hb
         for (_, arr_a), (_, arr_b) in zip(a.items(), b.items()):
             assert arr_a.tobytes() == arr_b.tobytes()
@@ -203,7 +203,7 @@ def test_train_loss_decreases_with_small_lr():
     y = rng.integers(0, 3, size=30)
     p = small_model("mlp")
     _, hist = train(p, x, y, np.ones(30, dtype=bool),
-                    TrainConfig(lr=1e-3, weight_decay=0.0, epochs=40))
+                    lr=1e-3, weight_decay=0.0, epochs=40)
     diffs = np.diff(hist)
     assert (diffs <= 1e-6).all()
 
@@ -211,14 +211,15 @@ def test_train_loss_decreases_with_small_lr():
 def test_train_validation_errors():
     p = small_model("mlp")
     x = np.zeros((4, 4))
+    y, mask = np.zeros(4), np.ones(4, dtype=bool)
     with pytest.raises(ConfigError):
-        train(p, x, np.zeros(4), np.zeros(4, dtype=bool), TrainConfig())
+        train(p, x, y, np.zeros(4, dtype=bool), lr=0.01, weight_decay=5e-4, epochs=200)
     with pytest.raises(DataError):
-        train(p, x, np.array([0, -1, 1, 0]), np.ones(4, dtype=bool), TrainConfig())
+        train(p, x, np.array([0, -1, 1, 0]), mask, lr=0.01, weight_decay=5e-4, epochs=200)
     with pytest.raises(ConfigError):
-        TrainConfig(lr=-0.1)
+        train(p, x, y, mask, lr=-0.1, weight_decay=5e-4, epochs=200)
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=-1)
+        train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=-1)
 
 
 def test_weight_decay_shrinks_weights():
@@ -227,9 +228,9 @@ def test_weight_decay_shrinks_weights():
     y = rng.integers(0, 3, size=30)
     p = small_model("linear")
     lean, _ = train(p, x, y, np.ones(30, dtype=bool),
-                    TrainConfig(weight_decay=0.0, epochs=200))
+                    lr=0.01, weight_decay=0.0, epochs=200)
     heavy, _ = train(p, x, y, np.ones(30, dtype=bool),
-                     TrainConfig(weight_decay=0.1, epochs=200))
+                     lr=0.01, weight_decay=0.1, epochs=200)
     assert np.linalg.norm(heavy.w_pre) < np.linalg.norm(lean.w_pre)
 
 

@@ -4,10 +4,9 @@ import pytest
 from graphunlearn.errors import (ConfigError, DataError, PrototypeError,
                                  RequestError)
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
-from graphunlearn.model import (ModelParams, TrainConfig, forward_embed,
-                                init_model, predict, train)
-from graphunlearn.unlearn import (EntityPartition, FinetuneConfig,
-                                  UnlearnRequest, apply_removal,
+from graphunlearn.model import (ModelParams, forward_embed, init_model,
+                                predict, train)
+from graphunlearn.unlearn import (EntityPartition, UnlearnRequest, apply_removal,
                                   build_prototypes, finetune, fused_loss,
                                   gather_working_set, prepare_partition,
                                   read_request, shuffle_labels,
@@ -194,7 +193,7 @@ def pipeline_fixture(seed=0, n=24, classes=3, mode="mlp"):
     x = propagate(op, g.features, cfg)
     params = init_model(4, 6, classes, mode=mode, seed=seed)
     params, _ = train(params, x, g.labels, g.train_mask,
-                      TrainConfig(epochs=60))
+                      lr=0.01, weight_decay=5e-4, epochs=60)
     return g, op, cfg, x, params
 
 
@@ -206,7 +205,7 @@ def partition_fixture(seed=0, ue=(0, 3), hie=(1, 2, 4), mode="mlp"):
     op_after = normalized_adjacency(g_after, r=0.5)
     x_after = propagate(op_after, g_after.features, cfg)
     part = prepare_partition(g_after, x_after, np.asarray(ue), np.asarray(hie),
-                             soft, params, x_before=x, num_classes=3,
+                             soft, params, x_before=x,
                              positives_per_anchor=3, negatives_per_anchor=3,
                              seed=seed)
     return part, params, x_after, x
@@ -228,7 +227,18 @@ def test_partition_rejects_overlap():
     soft = predict(params, x)
     with pytest.raises(ConfigError):
         prepare_partition(g, x, np.array([0, 1]), np.array([1, 2]), soft,
-                          params, x_before=x, num_classes=3)
+                          params, x_before=x, positives_per_anchor=5,
+                          negatives_per_anchor=5, seed=0)
+
+
+def test_partition_rejects_negative_sample_counts():
+    g, op, cfg, x, params = pipeline_fixture()
+    soft = predict(params, x)
+    for positives, negatives in ((-1, 5), (5, -1)):
+        with pytest.raises(ConfigError):
+            prepare_partition(g, x, np.array([0]), np.array([1, 2]), soft, params,
+                              x_before=x, positives_per_anchor=positives,
+                              negatives_per_anchor=negatives, seed=0)
 
 
 def test_partition_caches_pre_removal_rows():
@@ -282,7 +292,8 @@ def path_partition(labels):
 
     def part():
         return prepare_partition(g_after, x_after, np.array([1, 2]), np.array([]),
-                                 soft, params, x_before=x, num_classes=2, seed=0)
+                                 soft, params, x_before=x, positives_per_anchor=5,
+                                 negatives_per_anchor=5, seed=0)
     return part, params, x_after
 
 
@@ -320,9 +331,10 @@ def toy_partition():
     return part, params, x_after
 
 
-def toy_loss(lam, **kwargs):
+def toy_loss(lam, tau=0.5, l2_coef=5e-4):
     part, params, x_after = toy_partition()
-    return fused_loss(params, gather_working_set(part, x_after), lam=lam, **kwargs)
+    return fused_loss(params, gather_working_set(part, x_after), lam=lam, tau=tau,
+                      l2_coef=l2_coef)
 
 
 def test_label_shuffle_loss_matches_direct_formula():
@@ -351,7 +363,7 @@ def test_contrastive_skips_anchor_without_positives():
     part.positives = [np.array([], dtype=np.int64)]
     ws = gather_working_set(part, x_after)
     assert ws.anchor.size == 0
-    assert fused_loss(params, ws, lam=1.0)[2]["contrastive"] == 0.0
+    assert fused_loss(params, ws, lam=1.0, tau=0.5, l2_coef=5e-4)[2]["contrastive"] == 0.0
 
 
 def test_forgetting_loss_is_sum_of_parts():
@@ -379,7 +391,7 @@ def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
     # zero weights: current prediction is uniform over 2 classes
     zero = ModelParams(mode="linear", w_pre=np.zeros((2, 2)), b_pre=np.zeros(2))
     _, _, parts = fused_loss(zero, gather_working_set(part, x_after), lam=0.0,
-                             l2_coef=0.0)
+                             tau=0.5, l2_coef=0.0)
     assert parts["kl"] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -391,7 +403,8 @@ def test_every_loss_term_passes_fd_check_both_modes():
         params = init_model(4, 6, 3, mode=mode, seed=3)
         ws = gather_working_set(part, x_after)
         for lam in (0.0, 0.3, 1.0):
-            err = grad_check(params, lambda p: fused_loss(p, ws, lam=lam)[:2],
+            err = grad_check(params,
+                             lambda p: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4)[:2],
                              seed=1, num_probes=20)
             assert err <= 1e-4, f"{mode}/lambda={lam}: rel err {err}"
 
@@ -416,7 +429,7 @@ def test_fused_loss_matches_oracle_both_modes():
         ws = gather_working_set(part, x_after)
         for lam in (0.0, 0.1, 1.0):
             v_ref, g_ref, parts_ref = loss_oracle(params, part, x_after, lam=lam)
-            value, grads, parts = fused_loss(params, ws, lam=lam)
+            value, grads, parts = fused_loss(params, ws, lam=lam, tau=0.5, l2_coef=5e-4)
             assert value == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
             assert set(parts) == set(parts_ref)
             for name, ref in parts_ref.items():
@@ -468,24 +481,26 @@ def test_mixed_loss_validates_lambda():
 
 # -------------------------------------------------------------------- finetune
 
-def test_finetune_config_validation():
+def test_finetune_validation_errors():
+    part, params, x_after, _ = partition_fixture(seed=1)
     with pytest.raises(ConfigError):
-        FinetuneConfig(lr=-1.0)
+        finetune(params, part, x_after, lr=-1.0, epochs=50, lam=0.5, tau=0.5, l2_coef=5e-4)
     with pytest.raises(ConfigError):
-        FinetuneConfig(epochs=-1)
+        finetune(params, part, x_after, lr=0.01, epochs=-1, lam=0.5, tau=0.5, l2_coef=5e-4)
     with pytest.raises(ConfigError):
-        FinetuneConfig(lam=2.0)
+        finetune(params, part, x_after, lr=0.01, epochs=50, lam=2.0, tau=0.5, l2_coef=5e-4)
     with pytest.raises(ConfigError):
-        FinetuneConfig(tau=0.0)
+        finetune(params, part, x_after, lr=0.01, epochs=50, lam=0.5, tau=0.0, l2_coef=5e-4)
 
 
 def test_finetune_zero_epochs_and_zero_lr():
     part, params, x_after, _ = partition_fixture(seed=1)
-    out, log = finetune(params, part, x_after, FinetuneConfig(epochs=0))
+    out, log = finetune(params, part, x_after,
+                        lr=0.01, epochs=0, lam=0.5, tau=0.5, l2_coef=5e-4)
     assert log.epochs == []
     assert np.array_equal(out.w_pre, params.w_pre)
     out2, log2 = finetune(params, part, x_after,
-                          FinetuneConfig(lr=0.0, epochs=3))
+                          lr=0.0, epochs=3, lam=0.5, tau=0.5, l2_coef=5e-4)
     assert len(log2.epochs) == 3
     assert np.array_equal(out2.w_pre, params.w_pre)
 
@@ -493,8 +508,10 @@ def test_finetune_zero_epochs_and_zero_lr():
 def test_finetune_deterministic_and_input_untouched():
     part, params, x_after, _ = partition_fixture(seed=1)
     snap = params.copy()
-    a, la = finetune(params, part, x_after, FinetuneConfig(epochs=10))
-    b, lb = finetune(params, part, x_after, FinetuneConfig(epochs=10))
+    a, la = finetune(params, part, x_after,
+                     lr=0.01, epochs=10, lam=0.5, tau=0.5, l2_coef=5e-4)
+    b, lb = finetune(params, part, x_after,
+                     lr=0.01, epochs=10, lam=0.5, tau=0.5, l2_coef=5e-4)
     assert np.array_equal(params.w_pre, snap.w_pre)
     assert np.array_equal(a.w_pre, b.w_pre)
     assert la.epochs == lb.epochs
@@ -505,14 +522,13 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
     # epochs on fresh buffers with a per-tensor Adam give the same bytes
     for mode in ("linear", "mlp"):
         part, params, x_after, _ = partition_fixture(seed=1, mode=mode)
-        cfg = FinetuneConfig(epochs=8, lam=0.5)
-        out, log = finetune(params, part, x_after, cfg)
+        out, log = finetune(params, part, x_after,
+                            lr=0.01, epochs=8, lam=0.5, tau=0.5, l2_coef=5e-4)
         ref = params.copy()
-        oracle = TextbookAdam(ref, lr=cfg.lr)
+        oracle = TextbookAdam(ref, lr=0.01)
         ws = gather_working_set(part, x_after)
         for entry in log.epochs:
-            value, grads, _ = fused_loss(ref, ws, lam=cfg.lam, tau=cfg.tau,
-                                         l2_coef=cfg.l2_coef)
+            value, grads, _ = fused_loss(ref, ws, lam=0.5, tau=0.5, l2_coef=5e-4)
             assert value == entry["total"]
             oracle.step(ref, grads)
         for (name, arr), (_, expect) in zip(out.items(), ref.items()):
@@ -521,7 +537,8 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
 
 def test_finetune_log_entries_have_all_components():
     part, params, x_after, _ = partition_fixture(seed=1)
-    _, log = finetune(params, part, x_after, FinetuneConfig(epochs=2, lam=0.5))
+    _, log = finetune(params, part, x_after,
+                      lr=0.01, epochs=2, lam=0.5, tau=0.5, l2_coef=5e-4)
     for i, entry in enumerate(log.epochs):
         assert entry["epoch"] == i
         assert set(entry) == {"epoch", "total", "label", "prototype",
@@ -530,7 +547,8 @@ def test_finetune_log_entries_have_all_components():
 
 def test_finetune_reads_only_working_set_rows():
     part, params, x_after, _ = partition_fixture(seed=1)
-    _, log = finetune(params, part, x_after, FinetuneConfig(epochs=4))
+    _, log = finetune(params, part, x_after,
+                      lr=0.01, epochs=4, lam=0.5, tau=0.5, l2_coef=5e-4)
     allowed = set(part.hie)
     for pos, neg in zip(part.positives, part.negatives):
         allowed |= set(int(v) for v in pos)
@@ -545,7 +563,7 @@ def test_finetune_first_epoch_reasoning_starts_at_weight_penalty():
     # at lam=0 from the original parameters the KL term opens at zero
     part, params, x_after, _ = partition_fixture(seed=3)
     _, log = finetune(params, part, x_after,
-                      FinetuneConfig(epochs=1, lam=0.0, l2_coef=5e-4))
+                      lr=0.01, epochs=1, lam=0.0, tau=0.5, l2_coef=5e-4)
     entry = log.epochs[0]
     l2 = 5e-4 * sum(float(np.sum(a * a)) for _, a in params.items())
     assert entry["kl"] == pytest.approx(0.0, abs=1e-9)
@@ -563,7 +581,8 @@ def test_retrain_matches_manual_training_route():
     x = propagate(normalized_adjacency(after, 0.5), after.features, cfg)
     fresh = init_model(after.num_features, 6, after.num_classes, mode="mlp", seed=5)
     expect, expect_hist = train(fresh, x, after.labels, after.train_mask,
-                                run.train_config())
+                                lr=run.lr, weight_decay=run.weight_decay,
+                                epochs=run.epochs)
     assert np.array_equal(state.x_tilde, x)
     assert state.history == expect_hist
     for (_, a), (_, b) in zip(state.params.items(), expect.items()):
