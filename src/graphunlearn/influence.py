@@ -16,6 +16,21 @@ that picks the best-scoring candidate above a threshold until the
 budget runs out; in expanding mode the pick joins the seed set before
 the next round, in static mode the seeds stay the original unlearned
 entities.
+
+A seed's column is supported on its k-hop ball.  When the balls of the
+unlearned entities are small, their columns are computed together as
+the rows of one sparse block (k sparse-sparse products whose cost
+follows the balls) and folded into the aggregates entry by entry.  The
+rule reads the input alone: the mean over seeds of min(n, walks of
+length k from the seed) must be below BLOCK_BALL_FRACTION of n;
+otherwise each seed runs k products over the whole graph, which is
+faster when the balls cover most of it.  A block takes at most
+max(1, BLOCK_ENTRIES // n) seeds, so it holds at most max(n,
+BLOCK_ENTRIES) entries and its memory never grows as n times |UE|.
+Both routes give the same bits.  Still O(n) per seed on either route:
+the soft-label similarity z @ z[u], computed in full so its rounding
+never depends on the ball.  Still O(n) per greedy round: rescoring
+every node, and in expanding mode the pick's own column.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DataError
@@ -30,6 +46,14 @@ from .fileio import write_text
 from .graph import Graph, PropagationConfig, SparseOperator, propagation_column
 
 SELECTION_MODES = ("expanding", "static")
+# The unlearned entities' columns are computed as one sparse block when
+# the mean walk-count bound on their k-hop balls is below this share of
+# the graph.  On SBM graphs (n 2000-4000, |UE| = n/12, one BLAS thread
+# on a 2-core Xeon) the block was 1.4-7.7x faster at every bound up to
+# 0.76, and 10-29% slower where the bound saturated at 1 with k = 3.
+BLOCK_BALL_FRACTION = 0.5
+# Most entries one block of seed columns may hold (chunk width times n).
+BLOCK_ENTRIES = 1 << 20
 
 
 def _check_soft_labels(z: np.ndarray, n: int) -> np.ndarray:
@@ -45,6 +69,57 @@ def _safe_ratio(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     out = np.zeros_like(top)
     np.divide(top, bottom, out=out, where=bottom > 0.0)
     return out
+
+
+def _ball_fraction(op: SparseOperator, k: int, seeds: np.ndarray) -> float:
+    """Mean over seeds of min(n, walks of length k from the seed) / n.
+
+    The walk count (P^(k-1) rownnz)[u], with P the 0/1 pattern of S,
+    bounds the size of u's k-hop ball, the support of its column.
+    """
+    if k == 0:
+        return 1.0 / op.n
+    s = op.matrix
+    pattern = sp.csr_matrix((np.ones(s.nnz), s.indices, s.indptr), shape=s.shape)
+    walks = np.diff(s.indptr).astype(np.float64)
+    for _ in range(k - 1):
+        walks = pattern @ walks
+    return float(np.minimum(walks[seeds], op.n).mean()) / op.n
+
+
+def _fold_seed_block(op: SparseOperator, config: PropagationConfig, seeds: np.ndarray,
+                     z: np.ndarray, max_t, sum_t, max_f, sum_f) -> None:
+    """Fold the seeds' columns into the aggregates, computed as sparse rows.
+
+    Gives the same bits as folding propagation_column seed by seed.  Row
+    b of `cur` is (S^l e_u)^T; B @ S^T with sorted rows sums each entry
+    over neighbours in ascending column order, as csr_matvec does, and
+    the terms it skips are exact zeros.  np.maximum.at / np.add.at walk
+    the entries row by row, so every node sees its seeds in order.
+    """
+    n, w = op.n, config.weights
+    s_t = op.matrix.T.tocsr()
+    s_t.sort_indices()
+    width = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, seeds.size, width):
+        chunk = seeds[start:start + width]
+        cur = sp.csr_matrix((np.ones(chunk.size), chunk, np.arange(chunk.size + 1)),
+                            shape=(chunk.size, n))
+        out = w[0] * cur
+        for l in range(1, config.k + 1):
+            cur = cur @ s_t
+            cur.sort_indices()
+            out = out + w[l] * cur
+        col_t = np.abs(out.data)
+        sim = np.empty_like(col_t)
+        for b, u in enumerate(chunk):
+            lo, hi = out.indptr[b], out.indptr[b + 1]
+            sim[lo:hi] = (z @ z[u])[out.indices[lo:hi]]
+        col_f = col_t * sim
+        np.maximum.at(max_t, out.indices, col_t)
+        np.add.at(sum_t, out.indices, col_t)
+        np.maximum.at(max_f, out.indices, col_f)
+        np.add.at(sum_f, out.indices, col_f)
 
 
 @dataclass(frozen=True)
@@ -103,8 +178,11 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
         np.add(sum_t, col_t, out=sum_t)
         np.add(sum_f, col_f, out=sum_f)
 
-    for u in ue:
-        add_seed(int(u))
+    if _ball_fraction(op, config.k, ue) < BLOCK_BALL_FRACTION:
+        _fold_seed_block(op, config, ue, z, max_t, sum_t, max_f, sum_f)
+    else:
+        for u in ue:
+            add_seed(int(u))
 
     candidate = np.ones(n, dtype=bool)
     candidate[ue] = False

@@ -189,10 +189,18 @@ class RunConfig:
             raise ConfigError("nim.budget_multiplier must be nonnegative")
         if self.khop < 0:
             raise ConfigError(f"nim.khop must be nonnegative, got {self.khop}")
-        for key, count in (("unlearn.positives", self.positives),
+        for key, value in (("propagation.k", self.k), ("train.lr", self.lr),
+                           ("train.weight_decay", self.weight_decay),
+                           ("train.epochs", self.epochs), ("unlearn.lr", self.finetune_lr),
+                           ("unlearn.epochs", self.finetune_epochs),
+                           ("unlearn.positives", self.positives),
                            ("unlearn.negatives", self.negatives)):
-            if count < 0:
-                raise ConfigError(f"{key} must be nonnegative, got {count}")
+            if value < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {value}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ConfigError(f"unlearn.lambda must lie in [0, 1], got {self.lam}")
+        if self.tau <= 0.0:
+            raise ConfigError(f"unlearn.tau must be positive, got {self.tau}")
         if self.attack not in ("mia", "edge"):
             raise ConfigError(f"eval.attack must be 'mia' or 'edge', got {self.attack!r}")
         for rho in self.rho:

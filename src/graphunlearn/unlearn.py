@@ -165,10 +165,11 @@ def apply_removal(graph: Graph, request: UnlearnRequest) -> Graph:
 
     if request.kind == "edge":
         keys = edges[:, 0] * np.int64(graph.n) + edges[:, 1]
-        for u, v in request.edges:
-            if not graph.has_edge(u, v):
-                raise RequestError(f"edge ({u}, {v}) does not exist")
         drop = np.asarray([u * graph.n + v for u, v in request.edges], dtype=np.int64)
+        missing = np.flatnonzero(~np.isin(drop, keys))
+        if missing.size:
+            u, v = request.edges[missing[0]]
+            raise RequestError(f"edge ({u}, {v}) does not exist")
         edges = edges[~np.isin(keys, drop)]
     elif request.kind == "feature":
         features[ue] = 0.0

@@ -8,7 +8,11 @@ share a bug with the sparse implementation under test.
 import numpy as np
 import pytest
 
-from graphunlearn.graph import Graph, build_graph
+from graphunlearn.errors import ConfigError
+from graphunlearn.graph import (Graph, PropagationConfig, SparseOperator, build_graph,
+                                propagation_column)
+from graphunlearn.influence import (SELECTION_MODES, HieSelection, _check_soft_labels,
+                                    _safe_ratio)
 
 
 def make_graph(n, edges, *, features=None, labels=None,
@@ -138,6 +142,65 @@ def influence_oracle(pi, soft, seeds):
         reached = total > 0.0
         score[reached] += channel.max(axis=1)[reached] / total[reached]
     return score
+
+
+def select_hie_per_column(op: SparseOperator, config: PropagationConfig, ue,
+                           soft_labels: np.ndarray, theta: float, budget: int,
+                           mode: str = "expanding") -> HieSelection:
+    """Reference greedy selection: every seed's column by propagation_column.
+
+    The per-column select_hie as it stood before the unlearned entities'
+    columns could be computed as one sparse block; select_hie must give
+    the same picks and the same score bits on either route.
+    """
+    if mode not in SELECTION_MODES:
+        raise ConfigError(f"selection mode must be one of {SELECTION_MODES}, got {mode!r}")
+    if theta < 0.0:
+        raise ConfigError(f"theta must be nonnegative, got {theta}")
+    if budget < 0:
+        raise ConfigError(f"budget must be nonnegative, got {budget}")
+    n = op.n
+    ue = np.unique(np.asarray(ue, dtype=np.int64))
+    if ue.size == 0:
+        raise ConfigError("unlearned entity set must not be empty")
+    if ue.min() < 0 or ue.max() >= n:
+        raise IndexError(f"seed node outside [0, {n})")
+    z = _check_soft_labels(soft_labels, n)
+
+    # running per-node aggregates over the current seed set
+    sum_t = np.zeros(n)
+    max_t = np.zeros(n)
+    sum_f = np.zeros(n)
+    max_f = np.zeros(n)
+
+    def add_seed(u: int) -> None:
+        col_t = np.abs(propagation_column(op, config, u))
+        col_f = col_t * (z @ z[u])
+        np.maximum(max_t, col_t, out=max_t)
+        np.maximum(max_f, col_f, out=max_f)
+        np.add(sum_t, col_t, out=sum_t)
+        np.add(sum_f, col_f, out=sum_f)
+
+    for u in ue:
+        add_seed(int(u))
+
+    candidate = np.ones(n, dtype=bool)
+    candidate[ue] = False
+    picked, picked_scores = [], []
+    for _ in range(budget):
+        score = _safe_ratio(max_t, sum_t) + _safe_ratio(max_f, sum_f)
+        score[~candidate] = -1.0  # scores are >= 0, so -1 never wins
+        best = int(np.argmax(score))  # first max: smallest node id on ties
+        if score[best] < theta:
+            break
+        picked.append(best)
+        picked_scores.append(float(score[best]))
+        candidate[best] = False
+        if mode == "expanding":
+            add_seed(best)
+
+    return HieSelection(nodes=np.asarray(picked, dtype=np.int64),
+                        scores=np.asarray(picked_scores, dtype=np.float64))
 
 
 def _objective(mode, theta, part, x_after, lam, tau, l2_coef):

@@ -201,16 +201,6 @@ def test_unknown_config_key_fails_with_error_line(tmp_path, capsys):
     assert "nim.thetaa" in err
 
 
-def test_negative_propagation_steps_fail_train_with_error_line(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"propagation.k": -1})
-    out = tmp_path / "run"
-    assert run("gen", cfg, out) == 0
-    assert run("train", cfg, out) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error=ConfigError")
-    assert err.count("\n") == 1
-
-
 def test_negative_khop_is_rejected_with_error_line(tmp_path, capsys):
     good = write_config(tmp_path, {"nim.method": "khop"})
     out = tmp_path / "run"
@@ -246,8 +236,20 @@ def test_custom_weights_without_k_record_the_steps_they_run(tmp_path):
     ({"datagen.ue_fraction": 2.0}, "datagen.ue_fraction"),
     ({"datagen.ue_fraction": -0.5}, "datagen.ue_fraction"),
     ({"datagen.ue_fraction": 0.0}, "datagen.ue_fraction"),
+    ({"propagation.k": -1}, "propagation.k"),
+    ({"train.lr": -0.01}, "train.lr"),
+    ({"train.weight_decay": -1e-4}, "train.weight_decay"),
+    ({"train.epochs": -1}, "train.epochs"),
+    ({"unlearn.lr": -0.01}, "unlearn.lr"),
+    ({"unlearn.epochs": -1}, "unlearn.epochs"),
+    ({"unlearn.lambda": 1.5}, "unlearn.lambda"),
+    ({"unlearn.lambda": -0.5}, "unlearn.lambda"),
+    ({"unlearn.tau": 0.0}, "unlearn.tau"),
 ], ids=["custom-k-disagrees", "weights-with-s2gc", "weights-with-gbp", "negative-positives",
-        "negative-negatives", "ue-fraction-2", "ue-fraction-neg", "ue-fraction-0"])
+        "negative-negatives", "ue-fraction-2", "ue-fraction-neg", "ue-fraction-0",
+        "negative-k", "negative-train-lr", "negative-weight-decay", "negative-train-epochs",
+        "negative-unlearn-lr", "negative-unlearn-epochs", "lambda-above-1",
+        "lambda-below-0", "tau-0"])
 def test_out_of_range_config_value_fails_with_error_line(tmp_path, capsys, overrides, key):
     out = tmp_path / "run"
     assert run("gen", write_config(tmp_path, overrides), out) == 1

@@ -1,13 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from graphunlearn import influence
+from graphunlearn.datagen import SbmSpec, generate_sbm
 from graphunlearn.errors import ConfigError, DataError
-from graphunlearn.graph import PropagationConfig, normalized_adjacency
-from graphunlearn.influence import (HieSelection, khop_hie_capped, select_hie,
+from graphunlearn.evaluate import sample_noise_edges
+from graphunlearn.graph import PropagationConfig, build_graph, normalized_adjacency
+from graphunlearn.influence import (SELECTION_MODES, HieSelection, khop_hie_capped, select_hie,
                                     write_hie_csv)
 
+from graphunlearn.pipeline import RunConfig
+
 from conftest import (bfs_distances, dense_pi, influence_oracle, make_graph,
-                      random_connected_graph, walk_pi_matrix)
+                      random_connected_graph, select_hie_per_column, walk_pi_matrix)
+from test_acceptance import EDGE_CONFIG, EDGE_RHOS, EDGE_SPEC
 
 
 def one_hot(labels, c):
@@ -240,6 +248,86 @@ def test_select_theta_filters_low_scores_static():
         cut = select_hie(op, cfg, [0], z, theta=theta, budget=9, mode="static")
         assert (cut.scores >= theta).all()
         assert np.array_equal(cut.nodes, full.nodes[full.scores >= theta])
+
+
+# ------------------------------------------- block route vs per-column oracle
+
+def sparse_sbm(n=400, p_in=0.02, p_out=0.002, seed=0):
+    """About 2.6 neighbours per node at the defaults: 3-hop balls stay small."""
+    return generate_sbm(SbmSpec(n=n, classes=4, p_in=p_in, p_out=p_out, num_features=4,
+                                separation=1.0, train_fraction=0.8), seed)
+
+
+def scheme_config(scheme, k):
+    if scheme == "custom":  # a negative weight, so columns can cancel
+        return PropagationConfig(weights=(-0.3, 0.6, 0.5, 0.2)[:k + 1])
+    if scheme == "gbp":
+        return PropagationConfig.gbp(k, 0.3)
+    return getattr(PropagationConfig, scheme)(k)
+
+
+def assert_same_selection(args):
+    got, want = select_hie(*args), select_hie_per_column(*args)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert got.scores.tobytes() == want.scores.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["sgc", "s2gc", "gbp", "custom"])
+def test_select_matches_per_column_oracle_bit_for_bit(scheme):
+    g = sparse_sbm()
+    rng = np.random.default_rng(11)
+    for r in (0.0, 0.5, 1.0):
+        op = normalized_adjacency(g, r)
+        for k in range(4):
+            cfg = scheme_config(scheme, k)
+            ue = rng.choice(g.n, size=40, replace=False)
+            # small balls: the unlearned entities take the block route
+            assert influence._ball_fraction(op, k, ue) < influence.BLOCK_BALL_FRACTION
+            for c in (2, 3, 4, 5):
+                z = rng.dirichlet(np.ones(c), size=g.n)
+                for mode in SELECTION_MODES:
+                    assert_same_selection((op, cfg, ue, z, 0.3, 60, mode))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_select_matches_oracle_on_edge_attack_operator(seed):
+    # the operator edge_attack_run selects on: the poisoned graph, UE the
+    # injected edges' endpoints; random soft labels stand in for a fit
+    cfg = RunConfig(**EDGE_CONFIG)
+    graph = generate_sbm(SbmSpec(**EDGE_SPEC), seed)
+    rng = np.random.default_rng(seed)
+    for rho in EDGE_RHOS:
+        injected = np.asarray(sample_noise_edges(graph, math.ceil(rho * graph.num_edges), seed))
+        poisoned = build_graph(graph.n, np.vstack([graph.undirected_edges(), injected]),
+                               graph.features)
+        ue = np.unique(injected)
+        z = rng.dirichlet(np.ones(graph.num_classes), size=graph.n)
+        assert_same_selection((normalized_adjacency(poisoned, cfg.r), cfg.propagation_config(),
+                               ue, z, cfg.theta, cfg.budget_for(ue.size), cfg.selection_mode))
+
+
+@pytest.mark.parametrize("p_in, p_out, per_column", [
+    (0.02, 0.002, False),  # 2.6 neighbours: 3-hop balls hold a few percent
+    (0.2, 0.02, True),     # the CLI chain's 26 neighbours at n=400: balls cover the graph
+], ids=["small-balls", "dense-balls"])
+def test_unlearned_columns_take_the_block_route_only_on_small_balls(
+        monkeypatch, p_in, p_out, per_column):
+    columns = []
+    per_seed = influence.propagation_column
+
+    def counted(op, config, u):
+        columns.append(u)
+        return per_seed(op, config, u)
+
+    monkeypatch.setattr(influence, "propagation_column", counted)
+    g = sparse_sbm(p_in=p_in, p_out=p_out, seed=2)
+    rng = np.random.default_rng(2)
+    ue = np.unique(rng.choice(g.n, size=40, replace=False))
+    z = rng.dirichlet(np.ones(3), size=g.n)
+    sel = select_hie(normalized_adjacency(g, 0.5), PropagationConfig.s2gc(3), ue, z,
+                     theta=0.0, budget=10)
+    assert sel.nodes.size == 10
+    assert columns == (ue.tolist() if per_column else []) + sel.nodes.tolist()
 
 
 # ------------------------------------------------------------------ khop + bfs

@@ -108,6 +108,13 @@ def test_apply_removal_errors():
         apply_removal(g2, UnlearnRequest(kind="node", nodes=(2,)))
 
 
+def test_apply_removal_names_first_missing_edge_in_sorted_order():
+    g = labeled_path()
+    request = UnlearnRequest(kind="edge", edges=((4, 2), (1, 2), (3, 0)))
+    with pytest.raises(RequestError, match=r"^edge \(0, 3\) does not exist$"):
+        apply_removal(g, request)
+
+
 def test_apply_removal_leaves_input_untouched():
     g = labeled_path()
     snap_idx = g.indices.copy()
