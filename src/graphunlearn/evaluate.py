@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError, MetricError
 from .graph import Graph, build_graph
@@ -29,7 +28,16 @@ def auc(scores, labels) -> float:
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    if not np.isfinite(scores).all():
+        raise MetricError("AUC needs finite scores")
+    # average ranks: a tie group at sorted positions [start, end) shares
+    # rank (start + end + 1) / 2, a half-integer and so exact in float64
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    start, end = bounds[:-1], bounds[1:]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((start + end + 1) / 2.0, end - start)
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -129,6 +137,9 @@ def sample_noise_edges(graph: Graph, count: int, seed: int) -> list:
     if np.unique(labels[train][labels[train] >= 0]).size < 2:
         raise DataError("need at least two labels among training nodes to cross")
     rng = np.random.default_rng(seed)
+    n = graph.n
+    existing = set(_edge_keys(graph.undirected_edges(), n).tolist())
+    train, labels = train.tolist(), labels.tolist()
     chosen: set = set()
     attempts = 0
     limit = 200 * count + 1000
@@ -136,14 +147,20 @@ def sample_noise_edges(graph: Graph, count: int, seed: int) -> list:
         attempts += 1
         if attempts > limit:
             raise DataError(f"could not place {count} cross-label edges after {limit} tries")
-        u, v = (int(train[i]) for i in rng.integers(train.size, size=2))
+        i, j = rng.integers(len(train), size=2).tolist()
+        u, v = train[i], train[j]
         if u == v or labels[u] == labels[v] or labels[u] < 0 or labels[v] < 0:
             continue
         key = (min(u, v), max(u, v))
-        if key in chosen or graph.has_edge(*key):
+        if key in chosen or key[0] * n + key[1] in existing:
             continue
         chosen.add(key)
     return sorted(chosen)
+
+
+def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key u*n+v per row of an (m, 2) edge array."""
+    return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
 def edge_attack_run(graph: Graph, rho: float, pipeline, seed: int) -> EdgeAttackReport:
@@ -171,9 +188,11 @@ def edge_attack_run(graph: Graph, rho: float, pipeline, seed: int) -> EdgeAttack
     unlearned_state = pipeline.unlearn(poisoned_state, request)
 
     after = unlearned_state.graph
-    for u, v in injected:
-        if after.has_edge(u, v):
-            raise DataError(f"injected edge ({u}, {v}) survived unlearning")
+    survived = np.flatnonzero(np.isin(_edge_keys(np.asarray(injected), after.n),
+                                      _edge_keys(after.undirected_edges(), after.n)))
+    if survived.size:
+        u, v = injected[survived[0]]
+        raise DataError(f"injected edge ({u}, {v}) survived unlearning")
 
     return EdgeAttackReport(rho=float(rho), num_injected=count,
                             injected_edges=[list(e) for e in injected],

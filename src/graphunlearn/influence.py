@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DataError
 from .fileio import write_text
@@ -209,6 +208,9 @@ def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> np.ndarray:
     Within one hop level nodes are taken in id order.  This keeps the
     naive neighborhood baseline comparable to a budgeted greedy run.
     """
+    # imported here so that loading the library does not load csgraph
+    from scipy.sparse.csgraph import dijkstra
+
     if hops < 0 or budget < 0:
         raise ConfigError(f"hops and budget must be nonnegative, got {hops} and {budget}")
     seeds = np.unique(np.asarray(ue, dtype=np.int64))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,3 +383,15 @@ def test_console_entry_point_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "edges.tsv").exists()
+
+
+def test_import_loads_neither_stats_nor_csgraph():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, graphunlearn.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.sparse.csgraph') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

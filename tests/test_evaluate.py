@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from graphunlearn.errors import ConfigError, DataError, MetricError
 from graphunlearn.evaluate import (auc, edge_attack_run, f1_score, mia_attack,
@@ -9,6 +11,7 @@ from graphunlearn.evaluate import (auc, edge_attack_run, f1_score, mia_attack,
                                    sample_noise_edges)
 from graphunlearn.model import ModelParams
 from graphunlearn.pipeline import Pipeline, RunConfig
+from graphunlearn.unlearn import UnlearnRequest, apply_removal
 from graphunlearn.datagen import SbmSpec, generate_sbm
 
 from conftest import make_graph
@@ -44,6 +47,42 @@ def test_auc_requires_both_classes():
         auc([1, 2], [1, 1])
     with pytest.raises(MetricError):
         auc([1, 2], [0, 0])
+
+
+def rankdata_auc(scores, labels):
+    """The rank-statistic AUC over scipy's average ranks."""
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = int(labels.sum())
+    u = rankdata(scores)[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (labels.size - n_pos)))
+
+
+AUC_SCORE_KINDS = {
+    "continuous": lambda rng, m: rng.standard_normal(m),
+    "integer ties": lambda rng, m: rng.integers(0, 4, size=m).astype(float),
+    "rounded": lambda rng, m: np.round(rng.standard_normal(m), 1),
+    "all equal": lambda rng, m: np.full(m, rng.standard_normal()),
+    "signed zeros": lambda rng, m: rng.choice([-0.0, 0.0, 1.0, -1.0], size=m),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AUC_SCORE_KINDS))
+def test_auc_bits_equal_rankdata_reference(kind):
+    rng = np.random.default_rng(sorted(AUC_SCORE_KINDS).index(kind))
+    for _ in range(300):
+        m = int(rng.integers(2, 400))
+        scores = AUC_SCORE_KINDS[kind](rng, m)
+        labels = rng.integers(0, 2, size=m).astype(bool)
+        labels[:2] = [False, True]
+        rng.shuffle(labels)
+        got = np.float64(auc(scores, labels)).tobytes()
+        assert got == np.float64(rankdata_auc(scores, labels)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(MetricError, match="finite"):
+        auc([0.1, bad, 0.3, 0.4], [0, 1, 0, 1])
 
 
 def test_auc_null_distribution_centers_at_half():
@@ -228,6 +267,29 @@ def test_edge_attack_report_and_clean_graph_untouched():
     for u, v in rep.injected_edges:
         assert not g.has_edge(u, v)
         assert g.labels[u] != g.labels[v]
+
+
+class _LeakyPipeline:
+    """Trains nothing and removes only the first requested edge."""
+
+    def train(self, graph):
+        return SimpleNamespace(graph=graph)
+
+    def unlearn(self, state, request):
+        first = UnlearnRequest(kind="edge", edges=request.edges[:1])
+        return SimpleNamespace(graph=apply_removal(state.graph, first))
+
+    def test_f1(self, state):
+        return 0.0
+
+
+def test_edge_attack_names_first_surviving_injected_edge():
+    g = labeled_graph()
+    injected = sample_noise_edges(g, count=3, seed=7)
+    u, v = injected[1]
+    with pytest.raises(DataError, match=rf"injected edge \({u}, {v}\) survived unlearning"):
+        # ceil(2.5) = 3 edges, drawn with the same seed as above
+        edge_attack_run(g, rho=2.5 / g.num_edges, pipeline=_LeakyPipeline(), seed=7)
 
 
 # --------------------------------------------------------------------- reports
