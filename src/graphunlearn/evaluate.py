@@ -10,12 +10,12 @@ cannot tell revoked entities from nodes that were never trained on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MetricError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, edge_keys
 from .model import ModelParams, predict
 from .unlearn import UnlearnRequest
 
@@ -75,11 +75,7 @@ class AttackReport:
     score_feature: str = "max posterior + negative entropy"
 
     def to_dict(self) -> dict:
-        return {"auc": self.auc, "member_count": self.member_count,
-                "non_member_count": self.non_member_count,
-                "member_scores": self.member_scores,
-                "non_member_scores": self.non_member_scores,
-                "score_feature": self.score_feature}
+        return asdict(self)
 
 
 def mia_attack(params: ModelParams, x_probe: np.ndarray, ue,
@@ -124,10 +120,7 @@ class EdgeAttackReport:
     f1_unlearned: float
 
     def to_dict(self) -> dict:
-        return {"rho": self.rho, "num_injected": self.num_injected,
-                "injected_edges": [list(e) for e in self.injected_edges],
-                "f1_clean": self.f1_clean, "f1_poisoned": self.f1_poisoned,
-                "f1_unlearned": self.f1_unlearned}
+        return asdict(self)
 
 
 def sample_noise_edges(graph: Graph, count: int, seed: int) -> list:
@@ -137,8 +130,7 @@ def sample_noise_edges(graph: Graph, count: int, seed: int) -> list:
     if np.unique(labels[train][labels[train] >= 0]).size < 2:
         raise DataError("need at least two labels among training nodes to cross")
     rng = np.random.default_rng(seed)
-    n = graph.n
-    existing = set(_edge_keys(graph.undirected_edges(), n).tolist())
+    existing = set(map(tuple, graph.undirected_edges().tolist()))
     train, labels = train.tolist(), labels.tolist()
     chosen: set = set()
     attempts = 0
@@ -152,15 +144,10 @@ def sample_noise_edges(graph: Graph, count: int, seed: int) -> list:
         if u == v or labels[u] == labels[v] or labels[u] < 0 or labels[v] < 0:
             continue
         key = (min(u, v), max(u, v))
-        if key in chosen or key[0] * n + key[1] in existing:
+        if key in chosen or key in existing:
             continue
         chosen.add(key)
     return sorted(chosen)
-
-
-def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key u*n+v per row of an (m, 2) edge array."""
-    return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
 def edge_attack_run(graph: Graph, rho: float, pipeline, seed: int) -> EdgeAttackReport:
@@ -188,8 +175,8 @@ def edge_attack_run(graph: Graph, rho: float, pipeline, seed: int) -> EdgeAttack
     unlearned_state = pipeline.unlearn(poisoned_state, request)
 
     after = unlearned_state.graph
-    survived = np.flatnonzero(np.isin(_edge_keys(np.asarray(injected), after.n),
-                                      _edge_keys(after.undirected_edges(), after.n)))
+    survived = np.flatnonzero(np.isin(edge_keys(injected, after.n),
+                                      edge_keys(after.undirected_edges(), after.n)))
     if survived.size:
         u, v = injected[survived[0]]
         raise DataError(f"injected edge ({u}, {v}) survived unlearning")

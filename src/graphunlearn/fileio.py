@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-import re
 import struct
 from pathlib import Path
 
@@ -75,45 +74,39 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-# The integer grammar of every text format: optional sign, ASCII digits,
-# optional whitespace around the field, and the value must fit int64.
-# numpy parses the fields; these patterns only locate the first line it
-# rejected, so valid input never meets them.
-_FIELD = r"[^\S\t]*[+-]?[0-9]+[^\S\t]*"
-_PAIR = re.compile(rf"({_FIELD})\t({_FIELD})")
-_SINGLE = re.compile(r"\s*([+-]?[0-9]+)\s*")
-_INT64 = np.iinfo(np.int64)
+def _parse_ints(lines, cols: int):
+    """numpy's parse of the lines as an (m, cols) int64 table, or None.
+
+    This is the integer grammar of every text format: optional sign,
+    ASCII digits, optional whitespace around the field, and the value
+    must fit int64.  Two-column lines are tab-separated.
+    """
+    try:
+        rows = np.loadtxt(lines, delimiter="\t" if cols == 2 else None,
+                          dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == cols else None
 
 
 def _read_ints(path, cols: int) -> np.ndarray:
     """Parse the non-blank lines of a text file into an (m, cols) int64 array.
 
-    Two-column files are tab-separated; one-column files hold one integer
-    per line.  A line that does not parse raises DataError naming
-    `path:i`, with i counted among non-blank lines.
+    A line that does not parse raises DataError naming `path:i`, with i
+    counted among non-blank lines; the lines are parsed one at a time
+    only once the whole file has failed.
     """
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         return np.empty((0, cols), dtype=np.int64)
-    try:
-        rows = np.loadtxt(lines, delimiter="\t" if cols == 2 else None,
-                          dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape[1] != cols:
-        raise _first_bad_line(path, lines, cols)
-    return rows
-
-
-def _first_bad_line(path, lines, cols: int) -> DataError:
-    """The DataError for the first line off the grammar or beyond int64."""
-    pattern, form = (_PAIR, "'int<TAB>int'") if cols == 2 else (_SINGLE, "one integer")
+    rows = _parse_ints(lines, cols)
+    if rows is not None:
+        return rows
+    form = "'int<TAB>int'" if cols == 2 else "one integer"
     for i, line in enumerate(lines, start=1):
-        match = pattern.fullmatch(line)
-        if match is None or not all(_INT64.min <= int(f) <= _INT64.max
-                                    for f in match.groups()):
-            return DataError(f"{path}:{i}: expected {form} within int64, got {line!r}")
-    return DataError(f"{path}: malformed integer table")
+        if _parse_ints([line], cols) is None:
+            raise DataError(f"{path}:{i}: expected {form} within int64, got {line!r}")
+    raise DataError(f"{path}: malformed integer table")
 
 
 def _check_range(path, nodes, n: int, error) -> None:

@@ -61,13 +61,10 @@ class Graph:
         labeled = self.labels[self.labels != UNLABELED]
         return int(labeled.max()) + 1 if labeled.size else 0
 
-    def neighbors(self, u: int) -> np.ndarray:
+    def has_edge(self, u: int, v: int) -> bool:
         if not 0 <= u < self.n:
             raise IndexError(f"node {u} out of range for graph with n={self.n}")
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
         pos = np.searchsorted(row, v)
         return pos < row.size and row[pos] == v
 
@@ -106,6 +103,12 @@ def _as_mask(n: int, mask, name: str) -> np.ndarray:
     return out
 
 
+def edge_keys(edges, n: int) -> np.ndarray:
+    """One int64 key u*n+v per (u, v) pair; keys sort like the pairs, row-major."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return edges[:, 0] * np.int64(n) + edges[:, 1]
+
+
 def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None) -> Graph:
     """Construct a validated Graph from an edge list.
 
@@ -141,7 +144,7 @@ def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None
     edges = edges[edges[:, 0] != edges[:, 1]]
     # symmetrize, sort an encoded key (row-major order), drop repeats
     both = np.vstack([edges, edges[:, ::-1]])
-    keys = np.sort(both[:, 0] * np.int64(n) + both[:, 1])
+    keys = np.sort(edge_keys(both, n))
     keys = keys[np.diff(keys, prepend=np.int64(-1)) != 0]
     src, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)

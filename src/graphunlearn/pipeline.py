@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .graph import (Graph, PropagationConfig, SparseOperator,
                     normalized_adjacency, propagate)
-from .influence import HieSelection, khop_hie_capped, select_hie
+from .influence import SELECTION_MODES, HieSelection, khop_hie_capped, select_hie
 from .evaluate import f1_score
 from .model import ModelParams, init_model, predict, train
 from .unlearn import (FinetuneLog, UnlearnRequest, apply_removal, finetune,
@@ -172,6 +172,13 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
+        if self.scheme not in ("sgc", "s2gc", "gbp", "custom"):
+            raise ConfigError("propagation.scheme must be 'sgc', 's2gc', 'gbp' or 'custom', "
+                              f"got {self.scheme!r}")
+        if not 0.0 <= self.r <= 1.0:
+            raise ConfigError(f"propagation.r must lie in [0, 1], got {self.r}")
+        if self.scheme == "gbp" and not 0.0 < self.beta <= 1.0:
+            raise ConfigError(f"propagation.beta must lie in (0, 1] under gbp, got {self.beta}")
         if self.scheme == "custom" and self.k != len(self.weights) - 1:
             raise ConfigError(f"propagation.k must be {len(self.weights) - 1} for "
                               f"{len(self.weights)} propagation.weights, got {self.k}")
@@ -181,20 +188,26 @@ class RunConfig:
         if not 0.0 < self.gen_ue_fraction <= 1.0:
             raise ConfigError("datagen.ue_fraction must lie in (0, 1], "
                               f"got {self.gen_ue_fraction}")
+        if self.mode not in ("linear", "mlp"):
+            raise ConfigError(f"model.mode must be 'linear' or 'mlp', got {self.mode!r}")
+        if self.mode == "mlp" and self.hidden < 1:
+            raise ConfigError(f"model.hidden must be at least 1 in mlp mode, got {self.hidden}")
+        if self.selection_mode not in SELECTION_MODES:
+            raise ConfigError(f"nim.mode must be one of {SELECTION_MODES}, "
+                              f"got {self.selection_mode!r}")
         if self.method not in ("influence", "khop"):
             raise ConfigError(f"nim.method must be 'influence' or 'khop', got {self.method!r}")
         if self.budget is not None and self.budget < 0:
             raise ConfigError("nim.budget must be nonnegative")
-        if self.budget_multiplier < 0:
-            raise ConfigError("nim.budget_multiplier must be nonnegative")
-        if self.khop < 0:
-            raise ConfigError(f"nim.khop must be nonnegative, got {self.khop}")
         for key, value in (("propagation.k", self.k), ("train.lr", self.lr),
                            ("train.weight_decay", self.weight_decay),
                            ("train.epochs", self.epochs), ("unlearn.lr", self.finetune_lr),
                            ("unlearn.epochs", self.finetune_epochs),
                            ("unlearn.positives", self.positives),
-                           ("unlearn.negatives", self.negatives)):
+                           ("unlearn.negatives", self.negatives),
+                           ("unlearn.l2_coef", self.l2_coef), ("nim.theta", self.theta),
+                           ("nim.budget_multiplier", self.budget_multiplier),
+                           ("nim.khop", self.khop)):
             if value < 0:
                 raise ConfigError(f"{key} must be nonnegative, got {value}")
         if not 0.0 <= self.lam <= 1.0:

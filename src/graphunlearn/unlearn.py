@@ -47,14 +47,14 @@ backward pass over them (fused_loss).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, PrototypeError, RequestError
 from .fileio import read_json_object, write_text
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, edge_keys
 from .model import (Adam, ModelParams, StepBuffers, backprop_cached,
                     forward_cache, forward_embed, predict, softmax)
 
@@ -88,8 +88,7 @@ class UnlearnRequest:
             object.__setattr__(self, "nodes", tuple(sorted({int(v) for v in self.nodes})))
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "nodes": list(self.nodes),
-                "edges": [list(e) for e in self.edges]}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "UnlearnRequest":
@@ -164,8 +163,8 @@ def apply_removal(graph: Graph, request: UnlearnRequest) -> Graph:
     train_mask = graph.train_mask.copy()
 
     if request.kind == "edge":
-        keys = edges[:, 0] * np.int64(graph.n) + edges[:, 1]
-        drop = np.asarray([u * graph.n + v for u, v in request.edges], dtype=np.int64)
+        keys = edge_keys(edges, graph.n)
+        drop = edge_keys(request.edges, graph.n)
         missing = np.flatnonzero(~np.isin(drop, keys))
         if missing.size:
             u, v = request.edges[missing[0]]
@@ -480,8 +479,8 @@ def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarra
     are HIE plus the sampled positives/negatives (UE rows come from the
     partition cache).
     """
-    if lr < 0 or epochs < 0:
-        raise ConfigError("lr and epochs must be nonnegative")
+    if lr < 0 or epochs < 0 or l2_coef < 0:
+        raise ConfigError("lr, epochs and l2_coef must be nonnegative")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
     if tau <= 0:

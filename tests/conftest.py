@@ -108,7 +108,8 @@ def walk_pi_matrix(graph: Graph, weights):
     """
     n = graph.n
     depth = len(weights) - 1
-    nbrs = [list(graph.neighbors(v)) + [v] for v in range(n)]
+    nbrs = [graph.indices[graph.indptr[v]:graph.indptr[v + 1]].tolist() + [v]
+            for v in range(n)]
     d_hat = [float(len(nbrs[v])) for v in range(n)]
     pi = np.zeros((n, n))
 

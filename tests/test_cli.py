@@ -247,11 +247,22 @@ def test_custom_weights_without_k_record_the_steps_they_run(tmp_path):
     ({"unlearn.lambda": 1.5}, "unlearn.lambda"),
     ({"unlearn.lambda": -0.5}, "unlearn.lambda"),
     ({"unlearn.tau": 0.0}, "unlearn.tau"),
+    ({"unlearn.l2_coef": -1.0}, "unlearn.l2_coef"),
+    ({"propagation.r": 1.5}, "propagation.r"),
+    ({"propagation.r": -0.5}, "propagation.r"),
+    ({"propagation.scheme": "appnp"}, "propagation.scheme"),
+    ({"propagation.scheme": "gbp", "propagation.beta": 0.0}, "propagation.beta"),
+    ({"model.mode": "gcn"}, "model.mode"),
+    ({"model.mode": "mlp", "model.hidden": 0}, "model.hidden"),
+    ({"nim.theta": -0.1}, "nim.theta"),
+    ({"nim.mode": "greedy"}, "nim.mode"),
 ], ids=["custom-k-disagrees", "weights-with-s2gc", "weights-with-gbp", "negative-positives",
         "negative-negatives", "ue-fraction-2", "ue-fraction-neg", "ue-fraction-0",
         "negative-k", "negative-train-lr", "negative-weight-decay", "negative-train-epochs",
         "negative-unlearn-lr", "negative-unlearn-epochs", "lambda-above-1",
-        "lambda-below-0", "tau-0"])
+        "lambda-below-0", "tau-0", "negative-l2-coef", "r-above-1", "r-below-0",
+        "unknown-scheme", "gbp-beta-0", "unknown-model-mode", "mlp-hidden-0",
+        "negative-theta", "unknown-nim-mode"])
 def test_out_of_range_config_value_fails_with_error_line(tmp_path, capsys, overrides, key):
     out = tmp_path / "run"
     assert run("gen", write_config(tmp_path, overrides), out) == 1

@@ -6,7 +6,8 @@ import pytest
 from scipy.stats import rankdata
 
 from graphunlearn.errors import ConfigError, DataError, MetricError
-from graphunlearn.evaluate import (auc, edge_attack_run, f1_score, mia_attack,
+from graphunlearn.evaluate import (EdgeAttackReport, auc, edge_attack_run,
+                                   f1_score, mia_attack,
                                    posterior_attack_scores,
                                    sample_noise_edges)
 from graphunlearn.model import ModelParams
@@ -303,3 +304,11 @@ def test_attack_report_to_dict_round_trips_json():
     assert data["member_count"] == 2
     assert set(data) == {"auc", "member_count", "non_member_count",
                          "member_scores", "non_member_scores", "score_feature"}
+
+
+def test_edge_attack_report_to_dict_json_bytes():
+    rep = EdgeAttackReport(rho=0.2, num_injected=2, injected_edges=[(0, 3), [1, 4]],
+                           f1_clean=0.75, f1_poisoned=0.5, f1_unlearned=0.625)
+    assert json.dumps(rep.to_dict(), sort_keys=True) == (
+        '{"f1_clean": 0.75, "f1_poisoned": 0.5, "f1_unlearned": 0.625, '
+        '"injected_edges": [[0, 3], [1, 4]], "num_injected": 2, "rho": 0.2}')

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphunlearn.errors import (ConfigError, DataError, MaskError, ShapeError)
-from graphunlearn.graph import (PropagationConfig, build_graph,
+from graphunlearn.graph import (PropagationConfig, build_graph, edge_keys,
                                 normalized_adjacency, propagate,
                                 propagation_column)
 
@@ -65,10 +65,22 @@ def test_self_loops_dropped():
 def test_degrees_and_neighbors():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert list(np.diff(g.indptr)) == [3, 1, 1, 1]
-    assert list(g.neighbors(0)) == [1, 2, 3]
-    assert list(g.neighbors(2)) == [0]
+    assert list(g.indices[g.indptr[0]:g.indptr[1]]) == [1, 2, 3]
+    assert list(g.indices[g.indptr[2]:g.indptr[3]]) == [0]
+    assert [g.has_edge(2, v) for v in range(4)] == [True, False, False, False]
     with pytest.raises(IndexError):
-        g.neighbors(4)
+        g.has_edge(4, 0)
+
+
+def test_edge_keys_sort_like_pairs():
+    rng = np.random.default_rng(3)
+    edges = rng.integers(0, 7, size=(40, 2))
+    keys = edge_keys(edges, 7)
+    assert keys.dtype == np.int64 and keys.tolist() == [u * 7 + v for u, v in edges.tolist()]
+    assert np.array_equal(np.argsort(keys, kind="stable"),
+                          np.lexsort((edges[:, 1], edges[:, 0])))
+    assert edge_keys([(2, 5)], 7).tolist() == [19]
+    assert edge_keys(np.empty((0, 2), np.int64), 7).shape == (0,)
 
 
 def test_undirected_edges_listing():

@@ -59,6 +59,14 @@ def test_request_file_round_trip(tmp_path):
         read_request(path)
 
 
+def test_write_request_bytes(tmp_path):
+    path = tmp_path / "request.json"
+    write_request(UnlearnRequest(kind="node", nodes=(4, 1)), path)
+    assert path.read_bytes() == b'{"edges": [], "kind": "node", "nodes": [1, 4]}\n'
+    write_request(UnlearnRequest(kind="edge", edges=((2, 0),)), path)
+    assert path.read_bytes() == b'{"edges": [[0, 2]], "kind": "edge", "nodes": []}\n'
+
+
 # ---------------------------------------------------------------- apply_removal
 
 def labeled_path(n=5):
@@ -498,6 +506,8 @@ def test_finetune_validation_errors():
         finetune(params, part, x_after, lr=0.01, epochs=50, lam=2.0, tau=0.5, l2_coef=5e-4)
     with pytest.raises(ConfigError):
         finetune(params, part, x_after, lr=0.01, epochs=50, lam=0.5, tau=0.0, l2_coef=5e-4)
+    with pytest.raises(ConfigError, match="l2_coef"):
+        finetune(params, part, x_after, lr=0.01, epochs=50, lam=0.5, tau=0.5, l2_coef=-1.0)
 
 
 def test_finetune_zero_epochs_and_zero_lr():
