@@ -52,6 +52,7 @@ class RunConfig:
 
     A JSON config is one object whose keys are "<section>.<name>", e.g.
     {"propagation.k": 4, "model.mode": "linear", "nim.theta": 0.6}.
+    Every construction, dataclasses.replace included, runs validate.
     """
 
     # paths
@@ -157,9 +158,7 @@ class RunConfig:
             kwargs[name] = value
         if kwargs.get("scheme") == "custom" and "k" not in kwargs:
             kwargs["k"] = len(kwargs.get("weights", ())) - 1
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         reverse = {v: k for k, v in self._KEYMAP.items()}
@@ -171,7 +170,11 @@ class RunConfig:
             out[reverse[f.name]] = val
         return out
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        """Raise ConfigError naming the first dotted key whose value is out of range."""
         if self.scheme not in ("sgc", "s2gc", "gbp", "custom"):
             raise ConfigError("propagation.scheme must be 'sgc', 's2gc', 'gbp' or 'custom', "
                               f"got {self.scheme!r}")

@@ -41,7 +41,8 @@ removal; everything else reads the post-removal propagated features.
 The per-step work therefore touches only UE, HIE and the sampled
 positives/negatives, never the whole graph: finetune gathers those rows
 once (gather_working_set) and runs every epoch as one forward and one
-backward pass over them (fused_loss).
+backward pass over them (fused_loss), writing into buffers allocated
+once per call (FinetuneBuffers).
 """
 
 from __future__ import annotations
@@ -370,14 +371,30 @@ def gather_working_set(partition: EntityPartition, x_after: np.ndarray) -> Worki
                       positive=positive, scatter=scatter)
 
 
-def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float):
-    """The contrastive term over all anchors at once: (value, d value / d emb)."""
-    demb = np.zeros_like(emb)
+class FinetuneBuffers(StepBuffers):
+    """StepBuffers plus the fine-tune's own temporaries for one working
+    set: three (rows, width) arrays and one (anchors, samples, width)
+    block, so that the epochs of one finetune call allocate none of them.
+    """
+
+    def __init__(self, params: ModelParams, ws: WorkingSet):
+        super().__init__(params, ws.x.shape[0])
+        self.loss_demb = np.empty_like(self.demb)   # gradient of the loss at the embedding
+        self.cl_demb = np.empty_like(self.demb)     # the contrastive term's share of it
+        self.scratch = np.empty_like(self.demb)
+        self.pairs = np.empty(ws.others.shape + self.demb.shape[1:])
+
+
+def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float, buf: FinetuneBuffers):
+    """The contrastive term over all anchors at once: (value, d value / d emb),
+    the gradient written into buf.cl_demb."""
+    demb = buf.cl_demb
+    demb.fill(0.0)
     if ws.anchor.size == 0:
         return 0.0, demb
     norms = np.linalg.norm(emb, axis=1)
     a = emb[ws.anchor]
-    b = emb[ws.others]
+    b = np.take(emb, ws.others, axis=0, out=buf.pairs)
     na = norms[ws.anchor]
     nb = norms[ws.others]
     cos = np.einsum("amd,ad->am", b, a) / np.maximum(na[:, None] * nb, 1e-300)
@@ -395,27 +412,34 @@ def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float):
     # d cos / d a = (b/|b| - cos a/|a|) / |a|,  d cos / d b = (a/|a| - cos b/|b|) / |b|
     demb[ws.anchor] += (np.einsum("am,amd->ad", ds / nb, b)
                         - (ds * cos).sum(axis=1)[:, None] * a / na[:, None]) / na[:, None]
-    toward_anchor = (ds / (nb * na[:, None]))[..., None] * a[:, None, :]
+    # b is not read again, so its block takes toward_anchor
+    toward_anchor = np.multiply((ds / (nb * na[:, None]))[..., None], a[:, None, :],
+                                out=buf.pairs)
     demb += ws.scatter @ toward_anchor.reshape(-1, emb.shape[1])
-    demb -= (ws.scatter @ (ds * cos / (nb * nb)).ravel())[:, None] * emb
+    demb -= np.multiply((ws.scatter @ (ds * cos / (nb * nb)).ravel())[:, None], emb,
+                        out=buf.scratch)
     return value, demb
 
 
 def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
-               l2_coef: float, buf: StepBuffers | None = None):
+               l2_coef: float, buf: FinetuneBuffers | None = None):
     """The fine-tune objective in one forward and one backward pass over ws.x.
 
     Returns (value, grads, parts): parts holds the five terms unweighted,
-    and a term whose weight is zero reports 0.  The passes write into buf
-    (fresh StepBuffers when None), and grads are views into it.
+    and a term whose weight is zero reports 0.  The passes and their
+    temporaries write into buf (fresh FinetuneBuffers when None), and
+    grads are views into it.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")
+    if buf is None:
+        buf = FinetuneBuffers(params, ws)
     part = ws.partition
     z1, emb, z = forward_cache(params, ws.x, buf)
     soft = softmax(z)
     dlogits = np.zeros_like(z)
-    demb = np.zeros_like(emb)
+    demb = buf.loss_demb
+    demb.fill(0.0)
     parts = {"label": 0.0, "prototype": 0.0, "contrastive": 0.0, "l2": 0.0, "kl": 0.0}
     nu = part.ue.size
 
@@ -434,8 +458,9 @@ def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
         nonzero = norms > 1e-12
         demb[:nu][nonzero] = lam * (diff[nonzero] / norms[nonzero, None])
 
-        parts["contrastive"], d_cl = _contrastive_fused(emb, ws, tau)
-        demb += lam * d_cl
+        parts["contrastive"], d_cl = _contrastive_fused(emb, ws, tau, buf)
+        d_cl *= lam
+        demb += d_cl
 
     if lam < 1.0 and ws.hie.size:
         p = soft[ws.hie]
@@ -488,7 +513,7 @@ def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarra
     params = params.copy()
     ws = gather_working_set(partition, x_after)
     opt = Adam(params, lr, weight_decay=0.0)
-    buf = StepBuffers(params, ws.x.shape[0])
+    buf = FinetuneBuffers(params, ws)
     log = FinetuneLog(rows_read=ws.rows)
     for epoch in range(epochs):
         value, grads, parts = fused_loss(params, ws, lam=lam, tau=tau,

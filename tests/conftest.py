@@ -8,11 +8,47 @@ share a bug with the sparse implementation under test.
 import numpy as np
 import pytest
 
+from graphunlearn.datagen import SbmSpec
 from graphunlearn.errors import ConfigError
 from graphunlearn.graph import (Graph, PropagationConfig, SparseOperator, build_graph,
                                 propagation_column)
 from graphunlearn.influence import (SELECTION_MODES, HieSelection, _check_soft_labels,
                                     _safe_ratio)
+
+
+def generate_sbm_materialized(spec: SbmSpec, seed: int) -> Graph:
+    """Reference for datagen.generate_sbm: every class block's (u, v)
+    index arrays built in full, then one rng.random call per block."""
+    rng = np.random.default_rng(seed)
+    n, c = spec.n, spec.classes
+    labels = rng.permutation(np.arange(n, dtype=np.int64) % c)
+    members = [np.flatnonzero(labels == ci) for ci in range(c)]
+
+    chunks = []
+    for ci in range(c):
+        for cj in range(ci, c):
+            p = spec.p_in if ci == cj else spec.p_out
+            if ci == cj:
+                iu, ju = np.triu_indices(members[ci].size, k=1)
+                us, vs = members[ci][iu], members[ci][ju]
+            else:
+                us = np.repeat(members[ci], members[cj].size)
+                vs = np.tile(members[cj], members[ci].size)
+            hit = rng.random(us.size) < p
+            if np.any(hit):
+                chunks.append(np.column_stack([us[hit], vs[hit]]))
+    edges = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+
+    features = rng.standard_normal((n, spec.num_features))
+    features[np.arange(n), labels] += spec.separation
+
+    perm = rng.permutation(n)
+    cut = int(round(spec.train_fraction * n))
+    train = np.zeros(n, dtype=bool)
+    test = np.zeros(n, dtype=bool)
+    train[perm[:cut]] = True
+    test[perm[cut:]] = True
+    return build_graph(n, edges, features, labels, train, test)
 
 
 def make_graph(n, edges, *, features=None, labels=None,

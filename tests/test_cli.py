@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 
 from graphunlearn.cli import main
+from graphunlearn.errors import ConfigError
+from graphunlearn.pipeline import RunConfig
 
 BASE_CONFIG = {
     "datagen.n": 160, "datagen.classes": 3, "datagen.p_in": 0.08,
@@ -270,6 +274,15 @@ def test_out_of_range_config_value_fails_with_error_line(tmp_path, capsys, overr
     assert err.startswith("error=ConfigError")
     assert key in err and err.count("\n") == 1
     assert not (out / "request.json").exists()
+
+
+@pytest.mark.parametrize("fields, key", [({"l2_coef": -1.0}, "unlearn.l2_coef"),
+                                         ({"scheme": "appnp"}, "propagation.scheme")])
+def test_directly_built_config_is_validated(fields, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        RunConfig(**fields)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        dataclasses.replace(RunConfig(), **fields)
 
 
 def test_negative_seed_fails_with_error_line(tmp_path, capsys):

@@ -535,21 +535,26 @@ def test_finetune_deterministic_and_input_untouched():
 
 
 def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
-    # finetune reuses one set of step buffers across epochs; the same
-    # epochs on fresh buffers with a per-tensor Adam give the same bytes
-    for mode in ("linear", "mlp"):
-        part, params, x_after, _ = partition_fixture(seed=1, mode=mode)
-        out, log = finetune(params, part, x_after,
-                            lr=0.01, epochs=8, lam=0.5, tau=0.5, l2_coef=5e-4)
-        ref = params.copy()
-        oracle = TextbookAdam(ref, lr=0.01)
-        ws = gather_working_set(part, x_after)
-        for entry in log.epochs:
-            value, grads, _ = fused_loss(ref, ws, lam=0.5, tau=0.5, l2_coef=5e-4)
-            assert value == entry["total"]
-            oracle.step(ref, grads)
-        for (name, arr), (_, expect) in zip(out.items(), ref.items()):
-            assert arr.tobytes() == expect.tobytes(), f"{mode}/{name}"
+    # finetune reuses one set of buffers across epochs; the same epochs
+    # on fresh buffers with a per-tensor Adam give the same bytes and log,
+    # also when an anchor without positives is left out of the block
+    for mode, drop_positives in (("linear", False), ("mlp", False), ("mlp", True)):
+        for lam in (0.0, 0.1, 0.5, 1.0):
+            part, params, x_after, _ = partition_fixture(seed=1, mode=mode)
+            if drop_positives:
+                part.positives[0] = part.positives[0][:0]
+            out, log = finetune(params, part, x_after,
+                                lr=0.01, epochs=8, lam=lam, tau=0.5, l2_coef=5e-4)
+            ref = params.copy()
+            oracle = TextbookAdam(ref, lr=0.01)
+            ws = gather_working_set(part, x_after)
+            assert ws.anchor.size == part.hie.size - drop_positives
+            for epoch, entry in enumerate(log.epochs):
+                value, grads, parts = fused_loss(ref, ws, lam=lam, tau=0.5, l2_coef=5e-4)
+                assert entry == {"epoch": epoch, "total": value, **parts}
+                oracle.step(ref, grads)
+            for (name, arr), (_, expect) in zip(out.items(), ref.items()):
+                assert arr.tobytes() == expect.tobytes(), f"{mode}/{lam}/{name}"
 
 
 def test_finetune_log_entries_have_all_components():
