@@ -19,7 +19,7 @@ from graphunlearn.graph import (PropagationConfig, normalized_adjacency,
 from graphunlearn.influence import khop_hie_capped, select_hie
 
 spec = SbmSpec(n=120, classes=3, p_in=0.30, p_out=0.004, num_features=8,
-               separation=1.5)
+               separation=1.5, train_fraction=0.8)
 graph = generate_sbm(spec, seed=7)
 op = normalized_adjacency(graph, r=0.5)
 config = PropagationConfig.s2gc(2)
@@ -59,7 +59,7 @@ print("revoked neighbor depends on it entirely, and that is the risk here")
 
 # greedy selection: argmax each round, stop below theta, cap at budget.
 # expanding mode folds each pick into the seed set before rescoring.
-picked = select_hie(op, config, seeds, soft, theta=0.6, budget=12)
+picked = select_hie(op, config, seeds, soft, theta=0.6, budget=12, mode="expanding")
 print("\ngreedy picks in order:", picked.nodes.tolist())
 print("scores:", np.round(picked.scores, 3).tolist())
 same = int((graph.labels[picked.nodes] == 0).sum())

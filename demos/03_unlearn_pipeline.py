@@ -17,7 +17,7 @@ from graphunlearn.unlearn import UnlearnRequest
 # the model memorize individual training rows, so there is something
 # worth forgetting and the attack has a real signal to lose
 spec = SbmSpec(n=600, classes=3, p_in=0.06, p_out=0.008, num_features=128,
-               separation=1.5)
+               separation=1.5, train_fraction=0.8)
 graph = generate_sbm(spec, seed=1)
 
 cfg = RunConfig(k=1, scheme="s2gc", mode="mlp", hidden=64, epochs=600,

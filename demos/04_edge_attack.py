@@ -10,7 +10,7 @@ from graphunlearn.evaluate import edge_attack_run
 from graphunlearn.pipeline import Pipeline, RunConfig
 
 spec = SbmSpec(n=2000, classes=4, p_in=0.008, p_out=0.0006, num_features=16,
-               separation=0.8)
+               separation=0.8, train_fraction=0.8)
 graph = generate_sbm(spec, seed=0)
 print(f"clean graph: {graph.n} nodes, {graph.num_edges} edges")
 

@@ -35,7 +35,7 @@ class SbmSpec:
     p_out: float
     num_features: int
     separation: float
-    train_fraction: float = 0.8
+    train_fraction: float
 
     def __post_init__(self):
         if self.n < 1 or self.classes < 1:

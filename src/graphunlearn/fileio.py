@@ -5,9 +5,10 @@ Text formats are UTF-8 with 0-indexed node ids:
     labels  one "node<TAB>class" pair per line, absent ids are unlabeled
     masks   one node id per line
 
-Features are either a plain CSV matrix or a binary blob:
+Features are written as a binary blob:
     magic "GUFM", then n and f as 64-bit little-endian unsigned ints,
     then n*f float64 little-endian values in row-major order.
+A plain CSV matrix is read too, but never written.
 
 This module is the library's only file access: every other module
 reads, writes and makes directories through the helpers below, so an
@@ -16,7 +17,6 @@ OSError anywhere surfaces as one IoError naming the path.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from pathlib import Path
@@ -137,6 +137,8 @@ def read_features(path) -> np.ndarray:
         if len(raw) < 20:
             raise DataError(f"{path}: truncated binary feature header")
         n, f = struct.unpack("<QQ", raw[4:20])
+        if f == 0:
+            raise DataError(f"{path}: binary feature header has zero columns")
         expect = 20 + 8 * n * f
         if len(raw) != expect:
             raise DataError(f"{path}: expected {expect} bytes for {n}x{f} features, got {len(raw)}")
@@ -149,15 +151,10 @@ def read_features(path) -> np.ndarray:
 
 
 def write_features(path, features) -> None:
-    """Write features as CSV when the path ends in .csv, else binary."""
+    """Write features in the binary GUFM format."""
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"feature matrix must be 2-d, got shape {x.shape}")
-    if Path(path).suffix == ".csv":
-        buf = io.StringIO()
-        np.savetxt(buf, x, delimiter=",", fmt="%.17g")
-        write_text(path, buf.getvalue())
-        return
     header = FEATURE_MAGIC + struct.pack("<QQ", x.shape[0], x.shape[1])
     write_bytes(path, header + x.astype("<f8").tobytes(order="C"))
 
@@ -195,22 +192,19 @@ def read_mask(path, n: int) -> np.ndarray:
 
 
 def write_mask(path, mask) -> None:
-    mask = np.asarray(mask)
-    ids = np.flatnonzero(mask) if mask.dtype == bool else np.asarray(mask, dtype=np.int64)
-    write_text(path, "".join(f"{i}\n" for i in ids.tolist()))
+    """Write the ids of a bool mask, one per line."""
+    write_text(path, "".join(f"{i}\n" for i in np.flatnonzero(mask).tolist()))
 
 
-def load_graph(edge_path, feature_path, label_path=None,
-               train_mask_path=None, test_mask_path=None) -> Graph:
+def load_graph(edge_path, feature_path, label_path,
+               train_mask_path, test_mask_path) -> Graph:
     """Assemble a Graph from its on-disk pieces; n is taken from the features."""
     features = read_features(feature_path)
     n = features.shape[0]
     edges = read_edge_list(edge_path)
     _check_range(edge_path, edges, n, DataError)
-    labels = read_labels(label_path, n) if label_path else None
-    train = read_mask(train_mask_path, n) if train_mask_path else None
-    test = read_mask(test_mask_path, n) if test_mask_path else None
-    return build_graph(n, edges, features, labels, train, test)
+    return build_graph(n, edges, features, read_labels(label_path, n),
+                       read_mask(train_mask_path, n), read_mask(test_mask_path, n))
 
 
 def save_graph(graph: Graph, edge_path, feature_path, label_path,

@@ -87,20 +87,12 @@ class Graph:
 
 
 def _as_mask(n: int, mask, name: str) -> np.ndarray:
-    """Accept a bool array or an iterable of node ids; return a bool array."""
-    if mask is None:
-        return np.zeros(n, dtype=bool)
+    """A copy of a bool array of shape (n,); anything else is a MaskError."""
     arr = np.asarray(mask)
-    if arr.dtype == bool:
-        if arr.shape != (n,):
-            raise MaskError(f"{name} boolean mask must have shape ({n},), got {arr.shape}")
-        return arr.copy()
-    ids = arr.astype(np.int64).reshape(-1)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise MaskError(f"{name} contains node ids outside [0, {n})")
-    out = np.zeros(n, dtype=bool)
-    out[ids] = True
-    return out
+    if arr.dtype != bool or arr.shape != (n,):
+        raise MaskError(f"{name} must be a bool array of shape ({n},), "
+                        f"got {arr.dtype} {arr.shape}")
+    return arr.copy()
 
 
 def edge_keys(edges, n: int) -> np.ndarray:
@@ -109,7 +101,7 @@ def edge_keys(edges, n: int) -> np.ndarray:
     return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
-def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None) -> Graph:
+def build_graph(n, edges, features, labels, train_mask, test_mask) -> Graph:
     """Construct a validated Graph from an edge list.
 
     Duplicate edges are collapsed, (u, v) is mirrored to (v, u), and
@@ -117,21 +109,20 @@ def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None
 
     Args:
         n: number of nodes.
-        edges: iterable of (u, v) pairs, 0-indexed, or an (m, 2) array.
+        edges: (m, 2) int array of (u, v) pairs, 0-indexed.
         features: (n, f) array, finite float values.
-        labels: optional (n,) int array, -1 for unlabeled.
-        train_mask, test_mask: bool arrays of length n or iterables of ids.
+        labels: (n,) int array, -1 for unlabeled.
+        train_mask, test_mask: (n,) bool arrays.
 
     Raises:
         IndexError: edge endpoint outside [0, n).
         ShapeError: feature row count differs from n.
         DataError: non-finite feature values or malformed labels.
-        MaskError: train and test masks overlap.
+        MaskError: a mask is not an (n,) bool array, or the masks overlap.
     """
     if n < 0:
         raise ConfigError(f"node count must be nonnegative, got {n}")
-    edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                       dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise IndexError(f"edge endpoint outside [0, {n})")
 
@@ -150,14 +141,11 @@ def build_graph(n, edges, features, labels=None, train_mask=None, test_mask=None
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
-    if labels is None:
-        labels = np.full(n, UNLABELED, dtype=np.int64)
-    else:
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1).copy()
-        if labels.shape != (n,):
-            raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
-        if labels.size and labels.min() < UNLABELED:
-            raise DataError("labels must be class ids or -1 for unlabeled")
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1).copy()
+    if labels.shape != (n,):
+        raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
+    if labels.size and labels.min() < UNLABELED:
+        raise DataError("labels must be class ids or -1 for unlabeled")
 
     tr = _as_mask(n, train_mask, "train_mask")
     te = _as_mask(n, test_mask, "test_mask")

@@ -131,7 +131,7 @@ class HieSelection:
 
 def select_hie(op: SparseOperator, config: PropagationConfig, ue,
                soft_labels: np.ndarray, theta: float, budget: int,
-               mode: str = "expanding") -> HieSelection:
+               mode: str) -> HieSelection:
     """Greedily pick up to `budget` nodes whose combined score clears theta.
 
     Every round scores all remaining candidates against the current seed

@@ -14,6 +14,7 @@ in declaration order.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ class ModelParams:
 
 
 def init_model(num_features: int, hidden: int, num_classes: int,
-               mode: str = "mlp", seed: int = 0) -> ModelParams:
+               mode: str, seed: int) -> ModelParams:
     """Uniform init scaled by 1/sqrt(fan_in), deterministic in the seed."""
     if mode not in _MODE_BYTE:
         raise ConfigError(f"unknown model mode {mode!r}")
@@ -157,17 +158,14 @@ def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def backprop_cached(params: ModelParams, x: np.ndarray, z1, emb: np.ndarray,
-                    dlogits: np.ndarray, demb: np.ndarray | None = None,
-                    buf: StepBuffers | None = None) -> dict:
-    """Parameter gradients from gradients at the logits (and optionally at
-    the embedding), given the forward_cache of the same rows x.
+                    dlogits: np.ndarray, demb: np.ndarray | None,
+                    buf: StepBuffers) -> dict:
+    """Parameter gradients from gradients at the logits (and, unless demb
+    is None, at the embedding), given the forward_cache of the same rows x.
 
-    The gradients are written into buf (fresh StepBuffers when None); the
-    inputs are left untouched.
+    The gradients are written into buf; the inputs are left untouched.
     """
     x = np.atleast_2d(x)
-    if buf is None:
-        buf = StepBuffers(params, x.shape[0])
     grads = buf.grads
     if params.mode == "linear":
         total = dlogits if demb is None else np.add(dlogits, demb, out=buf.demb)
@@ -185,19 +183,15 @@ def backprop_cached(params: ModelParams, x: np.ndarray, z1, emb: np.ndarray,
     return grads
 
 
-def cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
-                  buf: StepBuffers | None = None):
+def cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray, buf: StepBuffers):
     """Mean cross-entropy over the given rows, with parameter gradients.
 
     Returns (loss, grads).  y holds one class id per row of x.  The
     backward pass reuses the forward pass's hidden layer, and the softmax
-    and its gradient overwrite the logits in buf (fresh StepBuffers when
-    None).
+    and its gradient overwrite the logits in buf.
     """
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=np.int64)
-    if buf is None:
-        buf = StepBuffers(params, x.shape[0])
     z1, emb, z = forward_cache(params, x, buf)
     p = softmax(z, out=z, row=buf.row)
     b = x.shape[0]
@@ -205,7 +199,7 @@ def cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
     loss = -np.mean(np.log(np.maximum(p[rows, y], 1e-300)))
     p[rows, y] -= 1.0           # p becomes the gradient at the logits
     p /= b
-    return loss, backprop_cached(params, x, z1, emb, p, buf=buf)
+    return loss, backprop_cached(params, x, z1, emb, p, None, buf)
 
 
 class Adam:
@@ -314,13 +308,14 @@ def load_checkpoint(path) -> ModelParams:
     else:
         f, c = dims
         shapes = [("w_pre", (f, c)), ("b_pre", (c,))]
-    expect = header_end + 8 * sum(int(np.prod(s)) for _, s in shapes)
+    # exact ints: np.prod wraps in int64, so a huge header could pass this check
+    expect = header_end + 8 * sum(math.prod(s) for _, s in shapes)
     if len(raw) != expect:
         raise CheckpointError(f"{path}: expected {expect} bytes, got {len(raw)}")
     arrays = {}
     offset = header_end
     for name, shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays[name] = np.frombuffer(raw, dtype="<f8", offset=offset,
                                      count=count).reshape(shape).astype(np.float64)
         offset += 8 * count

@@ -224,15 +224,14 @@ class RunConfig:
                 raise ConfigError(f"eval.rho entries must lie in (0, 1], got {rho}")
 
     def propagation_config(self) -> PropagationConfig:
+        """The weights of this scheme; validate has rejected any other scheme."""
         if self.scheme == "sgc":
             return PropagationConfig.sgc(self.k)
         if self.scheme == "s2gc":
             return PropagationConfig.s2gc(self.k)
         if self.scheme == "gbp":
             return PropagationConfig.gbp(self.k, self.beta)
-        if self.scheme == "custom":
-            return PropagationConfig(weights=self.weights)
-        raise ConfigError(f"unknown propagation scheme {self.scheme!r}")
+        return PropagationConfig(weights=self.weights)
 
     def budget_for(self, num_ue: int) -> int:
         if self.budget is not None:

@@ -422,18 +422,15 @@ def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float, buf: Finetun
 
 
 def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
-               l2_coef: float, buf: FinetuneBuffers | None = None):
+               l2_coef: float, buf: FinetuneBuffers):
     """The fine-tune objective in one forward and one backward pass over ws.x.
 
     Returns (value, grads, parts): parts holds the five terms unweighted,
     and a term whose weight is zero reports 0.  The passes and their
-    temporaries write into buf (fresh FinetuneBuffers when None), and
-    grads are views into it.
+    temporaries write into buf, and grads are views into it.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")
-    if buf is None:
-        buf = FinetuneBuffers(params, ws)
     part = ws.partition
     z1, emb, z = forward_cache(params, ws.x, buf)
     soft = softmax(z)

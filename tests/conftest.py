@@ -183,7 +183,7 @@ def influence_oracle(pi, soft, seeds):
 
 def select_hie_per_column(op: SparseOperator, config: PropagationConfig, ue,
                            soft_labels: np.ndarray, theta: float, budget: int,
-                           mode: str = "expanding") -> HieSelection:
+                           mode: str) -> HieSelection:
     """Reference greedy selection: every seed's column by propagation_column.
 
     The per-column select_hie as it stood before the unlearned entities'

@@ -18,12 +18,12 @@ from graphunlearn.evaluate import edge_attack_run, mia_attack
 from graphunlearn.graph import (PropagationConfig, normalized_adjacency,
                                 propagate, propagation_column)
 from graphunlearn.influence import select_hie
-from graphunlearn.model import cross_entropy, init_model, predict, train
+from graphunlearn.model import StepBuffers, cross_entropy, init_model, predict, train
 from graphunlearn.pipeline import (Pipeline, RunConfig, retrain_state,
                                    train_state, unlearn_state)
 from graphunlearn.pipeline import test_f1 as pipeline_f1
-from graphunlearn.unlearn import (UnlearnRequest, apply_removal, finetune,
-                                  fused_loss, gather_working_set,
+from graphunlearn.unlearn import (FinetuneBuffers, UnlearnRequest, apply_removal,
+                                  finetune, fused_loss, gather_working_set,
                                   prepare_partition)
 
 from conftest import (dense_pi, grad_check, influence_oracle, make_graph,
@@ -135,10 +135,12 @@ def test_02_gradients_match_finite_differences():
                                  positives_per_anchor=5, negatives_per_anchor=5, seed=0)
         rows = graph.train_mask
         ws = gather_working_set(part, x_after)
-        losses = {"ce": lambda p: cross_entropy(p, x[rows], graph.labels[rows])}
+        losses = {"ce": lambda p: cross_entropy(p, x[rows], graph.labels[rows],
+                                                StepBuffers(p, int(rows.sum())))}
         for lam in (0.0, 0.3, 1.0):
             losses[f"fused/lambda={lam}"] = \
-                lambda p, lam=lam: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4)[:2]
+                lambda p, lam=lam: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4,
+                                              buf=FinetuneBuffers(p, ws))[:2]
         for name, fn in losses.items():
             worst[f"{mode}/{name}"] = grad_check(params, fn, seed=7, num_probes=20)
     dt = time.perf_counter() - t0
@@ -201,7 +203,7 @@ def test_04_greedy_selection_properties():
         spec = SbmSpec(n=n, classes=int(rng.integers(2, 5)),
                        p_in=float(rng.uniform(0.08, 0.2)),
                        p_out=float(rng.uniform(0.01, 0.04)),
-                       num_features=6, separation=1.0)
+                       num_features=6, separation=1.0, train_fraction=0.8)
         graph = generate_sbm(spec, seed=trial)
         r = 0.5 if trial % 2 else 1.0
         op = normalized_adjacency(graph, r=r)
@@ -351,7 +353,7 @@ def test_08_edge_attack_recovery():
 def _finetune_setup(n: int, seed: int):
     """Everything one timed fine-tune of acceptance 09 needs, built untimed."""
     spec = SbmSpec(n=n, classes=4, p_in=0.05, p_out=0.005, num_features=32,
-                   separation=2.0)
+                   separation=2.0, train_fraction=0.8)
     graph = generate_sbm(spec, seed)
     cfg = RunConfig(gen_features=32, epochs=60, k=1, scheme="s2gc", hidden=64)
     state = train_state(graph, cfg, seed)
@@ -359,7 +361,7 @@ def _finetune_setup(n: int, seed: int):
     rng = np.random.default_rng(seed + 77)
     ue = np.sort(rng.choice(graph.train_nodes(), size=50, replace=False))
     hie = select_hie(state.op, cfg.propagation_config(), ue, state.soft,
-                     theta=0.1, budget=150).nodes
+                     theta=0.1, budget=150, mode="expanding").nodes
     request = UnlearnRequest(kind="node", nodes=tuple(int(v) for v in ue))
     after = apply_removal(state.graph, request)
     x_after = propagate(normalized_adjacency(after, cfg.r), after.features,

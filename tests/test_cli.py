@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,11 @@ import pytest
 
 from graphunlearn.cli import main
 from graphunlearn.errors import ConfigError
+from graphunlearn.fileio import FEATURE_MAGIC
+from graphunlearn.model import CHECKPOINT_MAGIC
 from graphunlearn.pipeline import RunConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE_CONFIG = {
     "datagen.n": 160, "datagen.classes": 3, "datagen.p_in": 0.08,
@@ -320,8 +325,9 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     ("labels.tsv", b"1\t0\n0\t99999999999999999999\n"),
     ("labels.tsv", b"1\t0\n1\t3\n"),
     ("edges.tsv", b"0\t1\n0\t500\n"),
+    ("features.gufm", FEATURE_MAGIC + struct.pack("<QQ", 2 ** 60, 0)),
 ], ids=["non-utf8", "edge-beyond-int64", "label-beyond-int64", "label-twice",
-        "edge-endpoint-beyond-n"])
+        "edge-endpoint-beyond-n", "features-zero-columns"])
 def test_malformed_input_file_fails_with_data_error_line(tmp_path, capsys, name, data):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -332,6 +338,20 @@ def test_malformed_input_file_fails_with_data_error_line(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert err.startswith("error=DataError") and err.count("\n") == 1
     assert name in err
+
+
+def test_checkpoint_dims_beyond_int64_fail_with_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    # an mlp header (f, h, c) = (2^62, 4, 1): w_emb's 2^64 floats wrap to 0
+    # in int64, which would leave 9 floats of tensors, 101 bytes in all
+    header = CHECKPOINT_MAGIC + b"\x01" + struct.pack("<3Q", 2 ** 62, 4, 1)
+    (out / "checkpoint.guwt").write_bytes(header + bytes(8 * 9))
+    capsys.readouterr()
+    assert run("unlearn", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=CheckpointError") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("request_doc", [
@@ -404,18 +424,17 @@ def test_console_entry_point_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "graphunlearn.cli", "gen",
          "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert (out / "edges.tsv").exists()
 
 
 def test_import_loads_neither_stats_nor_csgraph():
     # a fresh interpreter, so modules other tests imported do not count
-    src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, graphunlearn.cli; "
              "print(sorted(m for m in ('scipy.stats', 'scipy.sparse.csgraph') "
              "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from test_acceptance import EDGE_SPEC
 
 def spec(**kw):
     base = dict(n=60, classes=3, p_in=0.5, p_out=0.05,
-                num_features=4, separation=2.0)
+                num_features=4, separation=2.0, train_fraction=0.8)
     base.update(kw)
     return SbmSpec(**base)
 
@@ -42,7 +42,7 @@ def test_edgeless_graph_when_probabilities_zero():
 
 def test_complete_intra_class_when_p_in_one():
     g = generate_sbm(SbmSpec(n=4, classes=2, p_in=1.0, p_out=0.0,
-                             num_features=2, separation=1.0), seed=3)
+                             num_features=2, separation=1.0, train_fraction=0.8), seed=3)
     for u in range(4):
         for v in range(u + 1, 4):
             assert g.has_edge(u, v) == (g.labels[u] == g.labels[v])
@@ -67,7 +67,7 @@ def test_deterministic_in_seed():
 
 def test_edge_density_is_close_to_probabilities():
     s = SbmSpec(n=300, classes=2, p_in=0.2, p_out=0.02,
-                num_features=2, separation=1.0)
+                num_features=2, separation=1.0, train_fraction=0.8)
     intra = inter = intra_n = inter_n = 0
     for seed in range(5):
         g = generate_sbm(s, seed)
@@ -85,7 +85,7 @@ def test_edge_density_is_close_to_probabilities():
 
 def test_feature_means_shifted_by_class():
     s = SbmSpec(n=900, classes=3, p_in=0.01, p_out=0.01,
-                num_features=5, separation=3.0)
+                num_features=5, separation=3.0, train_fraction=0.8)
     g = generate_sbm(s, seed=7)
     for c in range(3):
         rows = g.features[g.labels == c]
@@ -133,7 +133,7 @@ GRAPH_ARRAYS = ("indptr", "indices", "features", "labels", "train_mask", "test_m
 ], ids=["classes-above-n-p-1", "classes-above-n", "p-in-1", "p-out-1", "one-class",
         "blocks-above-one-chunk", "edge-spec", "cli-chain-shape"])
 def test_streamed_draws_match_materialized_reference(kw, seeds):
-    spec = SbmSpec(**{"separation": 2.0, **kw})
+    spec = SbmSpec(**{"separation": 2.0, "train_fraction": 0.8, **kw})
     for seed in seeds:
         got, want = generate_sbm(spec, seed), generate_sbm_materialized(spec, seed)
         for name in GRAPH_ARRAYS:
@@ -145,7 +145,7 @@ def test_generation_memory_does_not_grow_with_pair_count():
     # 128M pairs at n = 16000: under tracemalloc, materialized index
     # arrays and draws peak at about 520 MB, the streamed draws at 36 MB
     spec = SbmSpec(n=16000, classes=4, p_in=0.006, p_out=0.0006667,
-                   num_features=4, separation=1.0)
+                   num_features=4, separation=1.0, train_fraction=0.8)
     tracemalloc.start()
     try:
         graph = generate_sbm(spec, seed=0)

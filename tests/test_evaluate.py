@@ -237,7 +237,7 @@ def tiny_pipeline():
 
 def test_edge_attack_rejects_bad_rho():
     g = generate_sbm(SbmSpec(n=40, classes=2, p_in=0.3, p_out=0.05,
-                             num_features=4, separation=2.0), seed=0)
+                             num_features=4, separation=2.0, train_fraction=0.8), seed=0)
     with pytest.raises(ConfigError):
         edge_attack_run(g, rho=0.0, pipeline=tiny_pipeline(), seed=0)
     with pytest.raises(ConfigError):
@@ -246,7 +246,7 @@ def test_edge_attack_rejects_bad_rho():
 
 def test_edge_attack_rejects_edgeless_graph():
     g = make_graph(10, [], labels=np.arange(10) % 2,
-                   train=np.arange(8), test=[8, 9])
+                   train=np.arange(10) < 8)
     with pytest.raises(ConfigError):
         edge_attack_run(g, rho=0.3, pipeline=tiny_pipeline(), seed=0)
 
@@ -254,7 +254,7 @@ def test_edge_attack_rejects_edgeless_graph():
 def test_edge_attack_report_and_clean_graph_untouched():
     # big enough that UE endpoints plus HIE leave prototype exemplars
     g = generate_sbm(SbmSpec(n=200, classes=2, p_in=0.04, p_out=0.01,
-                             num_features=4, separation=2.5), seed=1)
+                             num_features=4, separation=2.5, train_fraction=0.8), seed=1)
     before_indices = g.indices.copy()
     before_features = g.features.copy()
     rep = edge_attack_run(g, rho=0.05, pipeline=tiny_pipeline(), seed=3)

@@ -97,9 +97,9 @@ def test_build_rejects_bad_endpoint():
 
 def test_build_rejects_bad_features():
     with pytest.raises(ShapeError):
-        build_graph(3, [], np.zeros((2, 4)))
+        make_graph(3, [], features=np.zeros((2, 4)))
     with pytest.raises(DataError):
-        build_graph(2, [], np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        make_graph(2, [], features=np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 def test_build_rejects_bad_labels_and_masks():
@@ -108,21 +108,26 @@ def test_build_rejects_bad_labels_and_masks():
     with pytest.raises(DataError):
         make_graph(3, [], labels=np.array([0, -2, 1]))
     with pytest.raises(MaskError):
-        make_graph(3, [], train=[0, 1], test=[1, 2])
+        make_graph(3, [], train=np.array([True, True, False]),
+                   test=np.array([False, True, True]))
     with pytest.raises(MaskError):
-        make_graph(3, [], train=[0, 5])
+        make_graph(3, [], train=np.ones(4, dtype=bool))
     with pytest.raises(ConfigError):
-        build_graph(-1, [], np.zeros((0, 1)))
+        build_graph(-1, [], np.zeros((0, 1)), np.zeros(0, dtype=np.int64),
+                    np.zeros(0, dtype=bool), np.zeros(0, dtype=bool))
 
 
-def test_mask_from_id_list_matches_bool_mask():
-    a = make_graph(4, [], train=[1, 3], test=[0])
-    b = make_graph(4, [], train=np.array([False, True, False, True]),
-                   test=np.array([True, False, False, False]))
-    assert np.array_equal(a.train_mask, b.train_mask)
-    assert np.array_equal(a.test_mask, b.test_mask)
-    assert list(a.train_nodes()) == [1, 3]
-    assert list(a.test_nodes()) == [0]
+def test_build_rejects_masks_that_are_not_bool_of_shape_n():
+    none = np.zeros(3, dtype=bool)
+    # an int array is not read as node ids: [0, 1, 0] would mark nodes 0 and 1
+    with pytest.raises(MaskError):
+        make_graph(3, [], train=np.array([0, 1, 0]), test=none)
+    with pytest.raises(MaskError):
+        make_graph(3, [], train=np.ones(3, dtype=bool), test=np.array([0, 0, 1]))
+    with pytest.raises(MaskError):
+        make_graph(3, [], train=np.ones((3, 1), dtype=bool), test=none)
+    with pytest.raises(MaskError):
+        make_graph(3, [], train=np.ones(2, dtype=bool), test=none)
 
 
 def test_graph_arrays_are_immutable(path3):

@@ -104,9 +104,12 @@ def test_feature_influence_rejects_bad_soft_labels():
     op = normalized_adjacency(g, r=1.0)
     cfg = PropagationConfig.sgc(1)
     with pytest.raises(DataError):
-        select_hie(op, cfg, [0], np.ones((3, 2)), theta=0.0, budget=1)  # rows sum to 2
+        # rows sum to 2
+        select_hie(op, cfg, [0], np.ones((3, 2)), theta=0.0, budget=1, mode="expanding")
     with pytest.raises(DataError):
-        select_hie(op, cfg, [0], np.full((2, 3), 1 / 3), theta=0.0, budget=1)  # wrong n
+        # wrong n
+        select_hie(op, cfg, [0], np.full((2, 3), 1 / 3), theta=0.0, budget=1,
+                   mode="expanding")
 
 
 # ---------------------------------------------------------------- normalization
@@ -167,29 +170,30 @@ def test_select_star_static_picks_smallest_leaves():
 
 def test_select_above_max_threshold_selects_nothing():
     _, op, cfg, z = star_fixture()
-    sel = select_hie(op, cfg, ue=[0], soft_labels=z, theta=2.0 + 1e-9, budget=4)
+    sel = select_hie(op, cfg, ue=[0], soft_labels=z, theta=2.0 + 1e-9, budget=4,
+                     mode="expanding")
     assert sel.nodes.size == 0 and sel.scores.size == 0
 
 
 def test_select_zero_budget():
     _, op, cfg, z = star_fixture()
-    sel = select_hie(op, cfg, ue=[0], soft_labels=z, theta=0.0, budget=0)
+    sel = select_hie(op, cfg, ue=[0], soft_labels=z, theta=0.0, budget=0, mode="expanding")
     assert sel.nodes.size == 0
 
 
 def test_select_validation_errors():
     _, op, cfg, z = star_fixture()
     with pytest.raises(ConfigError):
-        select_hie(op, cfg, ue=[0], soft_labels=z, theta=-0.5, budget=2)
+        select_hie(op, cfg, ue=[0], soft_labels=z, theta=-0.5, budget=2, mode="expanding")
     with pytest.raises(ConfigError):
-        select_hie(op, cfg, ue=[0], soft_labels=z, theta=0.5, budget=-1)
+        select_hie(op, cfg, ue=[0], soft_labels=z, theta=0.5, budget=-1, mode="expanding")
     with pytest.raises(ConfigError):
-        select_hie(op, cfg, ue=[], soft_labels=z, theta=0.5, budget=2)
+        select_hie(op, cfg, ue=[], soft_labels=z, theta=0.5, budget=2, mode="expanding")
     with pytest.raises(ConfigError):
         select_hie(op, cfg, ue=[0], soft_labels=z, theta=0.5, budget=2,
                    mode="adaptive")
     with pytest.raises(IndexError):
-        select_hie(op, cfg, ue=[9], soft_labels=z, theta=0.5, budget=2)
+        select_hie(op, cfg, ue=[9], soft_labels=z, theta=0.5, budget=2, mode="expanding")
 
 
 def test_select_deterministic_and_prefix_property():
@@ -198,11 +202,11 @@ def test_select_deterministic_and_prefix_property():
     op = normalized_adjacency(g, r=0.5)
     cfg = PropagationConfig.s2gc(2)
     z = rng.dirichlet(np.ones(3), size=12)
-    a = select_hie(op, cfg, [0, 3], z, theta=0.0, budget=4)
-    b = select_hie(op, cfg, [0, 3], z, theta=0.0, budget=4)
+    a = select_hie(op, cfg, [0, 3], z, theta=0.0, budget=4, mode="expanding")
+    b = select_hie(op, cfg, [0, 3], z, theta=0.0, budget=4, mode="expanding")
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.scores, b.scores)
-    big = select_hie(op, cfg, [0, 3], z, theta=0.0, budget=8)
+    big = select_hie(op, cfg, [0, 3], z, theta=0.0, budget=8, mode="expanding")
     assert np.array_equal(big.nodes[:4], a.nodes)
 
 
@@ -219,7 +223,7 @@ def test_select_matches_budget_one_table_argmax():
         combined[ue] = -1.0
         best_score = combined.max()
         best_node = int(np.flatnonzero(np.abs(combined - best_score) < 1e-15).min())
-        sel = select_hie(op, cfg, ue, z, theta=0.0, budget=1)
+        sel = select_hie(op, cfg, ue, z, theta=0.0, budget=1, mode="expanding")
         assert list(sel.nodes) == [best_node]
         assert abs(sel.scores[0] - best_score) < 1e-12
 
@@ -299,7 +303,8 @@ def test_select_matches_oracle_on_edge_attack_operator(seed):
     for rho in EDGE_RHOS:
         injected = np.asarray(sample_noise_edges(graph, math.ceil(rho * graph.num_edges), seed))
         poisoned = build_graph(graph.n, np.vstack([graph.undirected_edges(), injected]),
-                               graph.features)
+                               graph.features, graph.labels, graph.train_mask,
+                               graph.test_mask)
         ue = np.unique(injected)
         z = rng.dirichlet(np.ones(graph.num_classes), size=graph.n)
         assert_same_selection((normalized_adjacency(poisoned, cfg.r), cfg.propagation_config(),
@@ -325,7 +330,7 @@ def test_unlearned_columns_take_the_block_route_only_on_small_balls(
     ue = np.unique(rng.choice(g.n, size=40, replace=False))
     z = rng.dirichlet(np.ones(3), size=g.n)
     sel = select_hie(normalized_adjacency(g, 0.5), PropagationConfig.s2gc(3), ue, z,
-                     theta=0.0, budget=10)
+                     theta=0.0, budget=10, mode="expanding")
     assert sel.nodes.size == 10
     assert columns == (ue.tolist() if per_column else []) + sel.nodes.tolist()
 

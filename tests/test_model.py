@@ -50,13 +50,13 @@ def test_init_bound_respects_fan_in():
 
 def test_init_validation():
     with pytest.raises(ConfigError):
-        init_model(0, 8, 3)
+        init_model(0, 8, 3, mode="mlp", seed=0)
     with pytest.raises(ConfigError):
-        init_model(4, 8, 0)
+        init_model(4, 8, 0, mode="mlp", seed=0)
     with pytest.raises(ConfigError):
-        init_model(4, 0, 3, mode="mlp")
+        init_model(4, 0, 3, mode="mlp", seed=0)
     with pytest.raises(ConfigError):
-        init_model(4, 8, 3, mode="transformer")
+        init_model(4, 8, 3, mode="transformer", seed=0)
 
 
 # --------------------------------------------------------------------- softmax
@@ -246,7 +246,7 @@ def test_adam_matches_textbook_oracle():
             opt = Adam(flat, lr=0.05, weight_decay=weight_decay)
             oracle = TextbookAdam(ref, lr=0.05, weight_decay=weight_decay)
             for _ in range(50):
-                _, grads = cross_entropy(ref, x, y)
+                _, grads = cross_entropy(ref, x, y, StepBuffers(ref, 20))
                 oracle.step(ref, grads)
                 opt.step(flat, grads)
             label = f"{mode}/wd={weight_decay}"
@@ -266,7 +266,7 @@ def test_cross_entropy_gradients_pass_fd_check():
     y = rng.integers(0, 3, size=12)
     for mode in ("linear", "mlp"):
         p = init_model(4, 8, 3, mode=mode, seed=1)
-        err = grad_check(p, lambda q: cross_entropy(q, x, y),
+        err = grad_check(p, lambda q: cross_entropy(q, x, y, StepBuffers(q, 12)),
                          seed=0, num_probes=30)
         assert err <= 1e-4, f"{mode}: rel err {err}"
 
@@ -276,7 +276,7 @@ def test_cross_entropy_value_matches_direct_formula():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((5, 4))
     y = np.array([0, 2, 1, 1, 0])
-    loss, _ = cross_entropy(p, x, y)
+    loss, _ = cross_entropy(p, x, y, StepBuffers(p, 5))
     soft = predict(p, x)
     direct = -np.mean(np.log(soft[np.arange(5), y]))
     assert abs(loss - direct) < 1e-12
@@ -290,14 +290,15 @@ def test_cross_entropy_reused_forward_equals_separate_passes():
     y = rng.integers(0, 3, size=40)
     for mode in ("linear", "mlp"):
         p = init_model(4, 8, 3, mode=mode, seed=2)
-        loss, grads = cross_entropy(p, x, y)
+        loss, grads = cross_entropy(p, x, y, StepBuffers(p, 40))
         soft = softmax(logits(p, x))
         rows = np.arange(40)
         expect = -np.mean(np.log(np.maximum(soft[rows, y], 1e-300)))
         dz = soft.copy()
         dz[rows, y] -= 1.0
         dz /= 40
-        expect_grads = backprop_cached(p, x, *forward_cache(p, x)[:2], dz)
+        expect_grads = backprop_cached(p, x, *forward_cache(p, x)[:2], dz, None,
+                                       StepBuffers(p, 40))
         assert np.array_equal(loss, expect)
         assert set(grads) == set(expect_grads)
         for name in grads:
@@ -315,7 +316,7 @@ def test_cross_entropy_with_reused_buffers_equals_fresh_buffers():
         cross_entropy(p, rng.standard_normal((30, 4)) * 5.0, y[::-1], buf)
         x = rng.standard_normal((30, 4))
         loss, grads = cross_entropy(p, x, y, buf)
-        expect_loss, expect_grads = cross_entropy(p, x, y)
+        expect_loss, expect_grads = cross_entropy(p, x, y, StepBuffers(p, 30))
         assert loss.tobytes() == expect_loss.tobytes()
         assert set(grads) == set(expect_grads)
         for name in grads:

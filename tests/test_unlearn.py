@@ -6,9 +6,9 @@ from graphunlearn.errors import (ConfigError, DataError, PrototypeError,
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.model import (ModelParams, forward_embed, init_model,
                                 predict, train)
-from graphunlearn.unlearn import (EntityPartition, UnlearnRequest, apply_removal,
-                                  build_prototypes, finetune, fused_loss,
-                                  gather_working_set, prepare_partition,
+from graphunlearn.unlearn import (EntityPartition, FinetuneBuffers, UnlearnRequest,
+                                  apply_removal, build_prototypes, finetune,
+                                  fused_loss, gather_working_set, prepare_partition,
                                   read_request, shuffle_labels,
                                   transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
@@ -111,7 +111,7 @@ def test_apply_removal_errors():
     with pytest.raises(IndexError):
         apply_removal(g, UnlearnRequest(kind="node", nodes=(9,)))
     g2 = make_graph(4, [(0, 1)], labels=np.zeros(4, dtype=int),
-                    train=[0, 1], test=[2, 3])
+                    train=np.array([True, True, False, False]))
     with pytest.raises(RequestError):
         apply_removal(g2, UnlearnRequest(kind="node", nodes=(2,)))
 
@@ -348,8 +348,9 @@ def toy_partition():
 
 def toy_loss(lam, tau=0.5, l2_coef=5e-4):
     part, params, x_after = toy_partition()
-    return fused_loss(params, gather_working_set(part, x_after), lam=lam, tau=tau,
-                      l2_coef=l2_coef)
+    ws = gather_working_set(part, x_after)
+    return fused_loss(params, ws, lam=lam, tau=tau, l2_coef=l2_coef,
+                      buf=FinetuneBuffers(params, ws))
 
 
 def test_label_shuffle_loss_matches_direct_formula():
@@ -378,7 +379,9 @@ def test_contrastive_skips_anchor_without_positives():
     part.positives = [np.array([], dtype=np.int64)]
     ws = gather_working_set(part, x_after)
     assert ws.anchor.size == 0
-    assert fused_loss(params, ws, lam=1.0, tau=0.5, l2_coef=5e-4)[2]["contrastive"] == 0.0
+    parts = fused_loss(params, ws, lam=1.0, tau=0.5, l2_coef=5e-4,
+                       buf=FinetuneBuffers(params, ws))[2]
+    assert parts["contrastive"] == 0.0
 
 
 def test_forgetting_loss_is_sum_of_parts():
@@ -405,8 +408,9 @@ def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
     part.memory = np.array([[1.0, 0.0]])
     # zero weights: current prediction is uniform over 2 classes
     zero = ModelParams(mode="linear", w_pre=np.zeros((2, 2)), b_pre=np.zeros(2))
-    _, _, parts = fused_loss(zero, gather_working_set(part, x_after), lam=0.0,
-                             tau=0.5, l2_coef=0.0)
+    ws = gather_working_set(part, x_after)
+    _, _, parts = fused_loss(zero, ws, lam=0.0, tau=0.5, l2_coef=0.0,
+                             buf=FinetuneBuffers(zero, ws))
     assert parts["kl"] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -419,7 +423,8 @@ def test_every_loss_term_passes_fd_check_both_modes():
         ws = gather_working_set(part, x_after)
         for lam in (0.0, 0.3, 1.0):
             err = grad_check(params,
-                             lambda p: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4)[:2],
+                             lambda p: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4,
+                                                  buf=FinetuneBuffers(p, ws))[:2],
                              seed=1, num_probes=20)
             assert err <= 1e-4, f"{mode}/lambda={lam}: rel err {err}"
 
@@ -444,7 +449,8 @@ def test_fused_loss_matches_oracle_both_modes():
         ws = gather_working_set(part, x_after)
         for lam in (0.0, 0.1, 1.0):
             v_ref, g_ref, parts_ref = loss_oracle(params, part, x_after, lam=lam)
-            value, grads, parts = fused_loss(params, ws, lam=lam, tau=0.5, l2_coef=5e-4)
+            value, grads, parts = fused_loss(params, ws, lam=lam, tau=0.5, l2_coef=5e-4,
+                                             buf=FinetuneBuffers(params, ws))
             assert value == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
             assert set(parts) == set(parts_ref)
             for name, ref in parts_ref.items():
@@ -550,7 +556,8 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
             ws = gather_working_set(part, x_after)
             assert ws.anchor.size == part.hie.size - drop_positives
             for epoch, entry in enumerate(log.epochs):
-                value, grads, parts = fused_loss(ref, ws, lam=lam, tau=0.5, l2_coef=5e-4)
+                value, grads, parts = fused_loss(ref, ws, lam=lam, tau=0.5, l2_coef=5e-4,
+                                                 buf=FinetuneBuffers(ref, ws))
                 assert entry == {"epoch": epoch, "total": value, **parts}
                 oracle.step(ref, grads)
             for (name, arr), (_, expect) in zip(out.items(), ref.items()):
