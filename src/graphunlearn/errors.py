@@ -30,10 +30,6 @@ class RequestError(GraphUnlearnError):
     """Unlearning request references entities that cannot be removed."""
 
 
-class PrototypeError(GraphUnlearnError):
-    """A class prototype cannot be built (no exemplars)."""
-
-
 class MetricError(GraphUnlearnError):
     """Metric undefined for the given inputs (empty mask, one class)."""
 

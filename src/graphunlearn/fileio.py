@@ -143,6 +143,8 @@ def read_features(path) -> np.ndarray:
         if len(raw) != expect:
             raise DataError(f"{path}: expected {expect} bytes for {n}x{f} features, got {len(raw)}")
         return np.frombuffer(raw, dtype="<f8", offset=20).reshape(n, f).astype(np.float64)
+    if not raw.strip():
+        raise DataError(f"{path}: feature file holds no data")
     try:
         return np.loadtxt(raw.decode("utf-8").splitlines(), delimiter=",",
                           dtype=np.float64, ndmin=2)
@@ -160,10 +162,14 @@ def write_features(path, features) -> None:
 
 
 def read_labels(path, n: int) -> np.ndarray:
-    """Parse a label file; a node outside [0, n) or listed twice is a DataError."""
+    """Parse a label file; a node outside [0, n), a node listed twice or a
+    class id of n or more is a DataError."""
     rows = _read_ints(path, 2)
     nodes = rows[:, 0]
     _check_range(path, nodes, n, DataError)
+    big = np.flatnonzero(rows[:, 1] >= n)
+    if big.size:
+        raise DataError(f"{path}:{big[0] + 1}: class {rows[big[0], 1]} not below n = {n}")
     first = np.unique(nodes, return_index=True)[1]
     if first.size != nodes.size:
         repeat = np.ones(nodes.size, dtype=bool)

@@ -146,11 +146,6 @@ def forward_cache(params: ModelParams, x: np.ndarray, buf: StepBuffers | None = 
     return z1, emb, z
 
 
-def forward_embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Embedding of each input row (logits in linear mode, hidden in mlp)."""
-    return forward_cache(params, x)[1]
-
-
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Softmax of the logits of each input row."""
     z = forward_cache(params, x)[2]

@@ -6,16 +6,17 @@ are zeroed, removed nodes drop out of the training mask.
 
 Fine-tuning minimizes one objective over a small working set,
 
-    L = lam * (label + prototype + contrastive) + (1 - lam) * (l2 + kl)
+    L = lam * (target + contrastive) + (1 - lam) * (l2 + kl)
 
 with p(x) the softmax of the logits and e(x) the embedding of a row:
 
   forgetting (on the unlearned entities UE and the selected HIE)
-    label        sum over u in UE of -log p(x_u)[shuffled label of u],
-                 a uniform random wrong class drawn once per run
-    prototype    sum over u in UE of |e(x_u) - prototype of u|, the
-                 original model's mean embedding of a random other class
-                 over the labeled training nodes outside UE and HIE
+    target       sum over u in UE of KL(t_u || p(x_u)), where t_u is the
+                 original soft labels of one non-training node outside
+                 UE, drawn once per run among the nodes the original
+                 model puts in u's class (among all of them when none
+                 is): UE should end up looking like data the model never
+                 trained on, not confidently wrong
     contrastive  sum over HIE anchors a with sampled positives P_a and
                  negatives N_a of
                      log sum_{b in P_a + N_a} exp(cos(e_a, e_b) / tau)
@@ -29,11 +30,10 @@ with p(x) the softmax of the logits and e(x) the embedding of a row:
     kl           sum over h in HIE of KL(original soft labels of h ||
                  p(x_h))
 
-The label term clamps probabilities below at 1e-300 and the KL term at
-1e-12.  An embedding whose norm is at most 1e-12 has no direction: its
-prototype distance and its cosines add nothing to the gradient, and an
-all-zero embedding has cosine 0 with every row.  At lam = 1 and lam = 0
-the other half is neither computed nor reported.
+Both KL terms clamp p below at 1e-12.  An embedding whose norm is at
+most 1e-12 has no direction: its cosines add nothing to the gradient,
+and an all-zero embedding has cosine 0 with every row.  At lam = 1 and
+lam = 0 the other half is neither computed nor reported.
 
 The UE rows that the forgetting terms read are the propagated rows the
 entities contributed while training, cached in the partition before
@@ -53,11 +53,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, PrototypeError, RequestError
+from .errors import ConfigError, DataError, RequestError
 from .fileio import read_json_object, write_text
 from .graph import Graph, build_graph, edge_keys
 from .model import (Adam, ModelParams, StepBuffers, backprop_cached,
-                    forward_cache, forward_embed, predict, softmax)
+                    forward_cache, predict, softmax)
 
 REQUEST_KINDS = ("feature", "node", "edge")
 
@@ -183,57 +183,21 @@ def apply_removal(graph: Graph, request: UnlearnRequest) -> Graph:
                        train_mask, graph.test_mask)
 
 
-def shuffle_labels(ue, labels, num_classes: int, seed: int) -> np.ndarray:
-    """Uniform random wrong class for every unlearned node, fixed per run."""
-    if num_classes < 2:
-        raise ConfigError("label shuffling needs at least 2 classes")
-    ue = np.asarray(ue, dtype=np.int64)
-    true = np.asarray(labels, dtype=np.int64)[ue]
-    if np.any(true < 0):
-        raise DataError("every unlearned node must carry a label")
-    rng = np.random.default_rng(seed)
-    drawn = rng.integers(0, num_classes - 1, size=ue.size)
-    return drawn + (drawn >= true)
-
-
-def build_prototypes(embeddings: np.ndarray, labels,
-                     num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean embedding per class over the given exemplars.
-
-    Returns (prototypes, present): a (classes, d) table and a bool mask
-    of classes that had at least one exemplar.  Unlabeled rows (-1) are
-    skipped.
-    """
-    emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != emb.shape[0]:
-        raise DataError("one label per embedding row is required")
-    protos = np.zeros((num_classes, emb.shape[1]))
-    present = np.zeros(num_classes, dtype=bool)
-    for c in range(num_classes):
-        rows = np.flatnonzero(labels == c)
-        if rows.size:
-            protos[c] = emb[rows].mean(axis=0)
-            present[c] = True
-    return protos, present
-
-
 @dataclass
 class EntityPartition:
     """Frozen per-run working set for fine-tuning.
 
-    Everything random (shuffled labels, foreign prototypes, contrastive
-    samples) is drawn once here, so the fine-tune loop itself is fully
-    deterministic.  ue_train_rows caches the pre-removal propagated rows
-    of the unlearned entities: that is the data whose imprint is being
-    erased, and for node removals the post-removal rows would be zero.
+    Everything random (forgetting targets, contrastive samples) is drawn
+    once here, so the fine-tune loop itself is fully deterministic.
+    ue_train_rows caches the pre-removal propagated rows of the
+    unlearned entities: that is the data whose imprint is being erased,
+    and for node removals the post-removal rows would be zero.
     """
 
     ue: np.ndarray
     hie: np.ndarray
-    shuffled_labels: np.ndarray     # aligned with ue
+    target: np.ndarray              # (|ue|, classes) soft labels of drawn non-members
     ue_train_rows: np.ndarray       # (|ue|, f) pre-removal propagated rows
-    ue_prototype: np.ndarray        # (|ue|, d) assigned foreign prototypes
     positives: list                 # per anchor: node ids outside ue and hie
     negatives: list                 # per anchor: node ids in ue or hie
     memory: np.ndarray              # (|hie|, classes) original soft labels
@@ -257,9 +221,13 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
                       negatives_per_anchor: int, seed: int) -> EntityPartition:
     """Assemble the working set for fine-tuning.
 
-    Label assignments for the contrastive pools come from the original
-    model's predictions (argmax of original_soft) so that no test labels
-    leak in; prototypes are built from the labeled training remainder.
+    Class assignments come from the original model's predictions (argmax
+    of original_soft), so no labels are read.  Each u in UE, in
+    ascending order, gets the original soft labels of one node drawn
+    from the non-training nodes outside UE that share u's predicted
+    class, or from all of them when none does; DataError when there are
+    none at all.  Then each HIE anchor draws its contrastive positives
+    and negatives.
     """
     if positives_per_anchor < 0 or negatives_per_anchor < 0:
         raise ConfigError("positives and negatives per anchor must be nonnegative")
@@ -272,27 +240,23 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     keep[ue] = False
     keep[hie] = False
     rest = np.flatnonzero(keep)
+    predicted = np.argmax(original_soft, axis=1)
 
     rng = np.random.default_rng(seed)
-    shuffled = shuffle_labels(ue, graph_after.labels, num_classes, seed=int(rng.integers(2 ** 63)))
-
-    # prototypes from the labeled training remainder, in the embedding
-    # space the fine-tuned model starts from
-    exemplars = rest[graph_after.train_mask[rest] & (graph_after.labels[rest] >= 0)]
-    protos, present = build_prototypes(
-        forward_embed(original_params, x_after[exemplars]) if exemplars.size
-        else np.zeros((0, 1)),
-        graph_after.labels[exemplars], num_classes)
-
-    ue_proto = np.zeros((ue.size, protos.shape[1]))
+    outside = ~graph_after.train_mask
+    outside[ue] = False
+    pool = np.flatnonzero(outside)
+    if pool.size == 0:
+        raise DataError("no non-training node outside the unlearned set to draw "
+                        "a forgetting target from")
+    by_class = [pool[predicted[pool] == c] for c in range(num_classes)]
+    target = np.empty((ue.size, num_classes))
     for i, u in enumerate(ue):
-        own = int(graph_after.labels[u])
-        choices = np.flatnonzero(present & (np.arange(num_classes) != own))
-        if choices.size == 0:
-            raise PrototypeError(f"no foreign-class prototype available for class {own}")
-        ue_proto[i] = protos[rng.choice(choices)]
+        cands = by_class[predicted[u]]
+        if cands.size == 0:
+            cands = pool
+        target[i] = original_soft[cands[rng.integers(len(cands))]]
 
-    predicted = np.argmax(original_soft, axis=1)
     pool_neg = np.concatenate([ue, hie])
     positives, negatives = [], []
     for a, lab in zip(hie, predicted[hie]):
@@ -307,10 +271,9 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     memory = predict(original_params, np.asarray(x_after, dtype=np.float64)[hie]) \
         if hie.size else np.zeros((0, num_classes))
 
-    return EntityPartition(ue=ue, hie=hie, shuffled_labels=shuffled,
+    return EntityPartition(ue=ue, hie=hie, target=target,
                            ue_train_rows=np.asarray(x_before, dtype=np.float64)[ue],
-                           ue_prototype=ue_proto, positives=positives, negatives=negatives,
-                           memory=memory)
+                           positives=positives, negatives=negatives, memory=memory)
 
 
 @dataclass
@@ -421,11 +384,23 @@ def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float, buf: Finetun
     return value, demb
 
 
+def _kl(target: np.ndarray, p: np.ndarray):
+    """sum over rows of KL(target || p) with p clamped below at 1e-12:
+    (value, gradient at the logits of p).  A clamped entry passes no
+    gradient."""
+    clamped = np.maximum(p, 1e-12)
+    ratio = np.where(target > 0.0,
+                     target * (np.log(np.maximum(target, 1e-300)) - np.log(clamped)), 0.0)
+    active = p > 1e-12
+    s_act = (target * active).sum(axis=1, keepdims=True)
+    return float(ratio.sum()), p * s_act - target * active
+
+
 def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
                l2_coef: float, buf: FinetuneBuffers):
     """The fine-tune objective in one forward and one backward pass over ws.x.
 
-    Returns (value, grads, parts): parts holds the five terms unweighted,
+    Returns (value, grads, parts): parts holds the four terms unweighted,
     and a term whose weight is zero reports 0.  The passes and their
     temporaries write into buf, and grads are views into it.
     """
@@ -437,39 +412,19 @@ def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
     dlogits = np.zeros_like(z)
     demb = buf.loss_demb
     demb.fill(0.0)
-    parts = {"label": 0.0, "prototype": 0.0, "contrastive": 0.0, "l2": 0.0, "kl": 0.0}
+    parts = {"target": 0.0, "contrastive": 0.0, "l2": 0.0, "kl": 0.0}
     nu = part.ue.size
 
     if lam > 0.0:
-        rows = np.arange(nu)
-        p = soft[:nu]
-        parts["label"] = float(-np.log(np.maximum(p[rows, part.shuffled_labels],
-                                                   1e-300)).sum())
-        dz = p.copy()
-        dz[rows, part.shuffled_labels] -= 1.0
+        parts["target"], dz = _kl(part.target, soft[:nu])
         dlogits[:nu] = lam * dz
-
-        diff = emb[:nu] - part.ue_prototype
-        norms = np.linalg.norm(diff, axis=1)
-        parts["prototype"] = float(norms.sum())
-        nonzero = norms > 1e-12
-        demb[:nu][nonzero] = lam * (diff[nonzero] / norms[nonzero, None])
-
         parts["contrastive"], d_cl = _contrastive_fused(emb, ws, tau, buf)
         d_cl *= lam
         demb += d_cl
 
     if lam < 1.0 and ws.hie.size:
-        p = soft[ws.hie]
-        clamped = np.maximum(p, 1e-12)
-        mem = part.memory
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(mem > 0.0,
-                             mem * (np.log(np.maximum(mem, 1e-300)) - np.log(clamped)), 0.0)
-        parts["kl"] = float(ratio.sum())
-        active = p > 1e-12
-        s_act = (mem * active).sum(axis=1, keepdims=True)
-        dlogits[ws.hie] = (1.0 - lam) * (p * s_act - mem * active)
+        parts["kl"], dz = _kl(part.memory, soft[ws.hie])
+        dlogits[ws.hie] = (1.0 - lam) * dz
 
     grads = backprop_cached(params, ws.x, z1, emb, dlogits, demb, buf)
     if lam < 1.0:
@@ -478,7 +433,7 @@ def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
             l2 += float(np.sum(arr * arr))
             grads[name] += (1.0 - lam) * (2.0 * l2_coef * arr)
         parts["l2"] = l2_coef * l2
-    f_val = parts["label"] + parts["prototype"] + parts["contrastive"]
+    f_val = parts["target"] + parts["contrastive"]
     r_val = parts["l2"] + parts["kl"]
     value = f_val if lam == 1.0 else r_val if lam == 0.0 else lam * f_val + (1.0 - lam) * r_val
     return value, grads, parts

@@ -241,7 +241,7 @@ def select_hie_per_column(op: SparseOperator, config: PropagationConfig, ue,
 
 
 def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
-    """Fine-tune objective and its five parts, entity by entity.
+    """Fine-tune objective and its four parts, entity by entity.
 
     Follows the formulas of the unlearn module docstring with plain
     loops.  theta may be complex: every branch (ReLU, the clamps, the
@@ -271,13 +271,15 @@ def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
         hit = np.flatnonzero(part.ue == v)
         return part.ue_train_rows[hit[0]] if hit.size else x_after[v]
 
-    parts = dict.fromkeys(("label", "prototype", "contrastive", "l2", "kl"), 0.0)
+    def kl(target, x):
+        p = prob(x)
+        return sum(t * (np.log(t) - np.log(floor(p[c], 1e-12)))
+                   for c, t in enumerate(target) if t > 0.0)
+
+    parts = dict.fromkeys(("target", "contrastive", "l2", "kl"), 0.0)
     if lam > 0.0:
-        for i in range(part.ue.size):
-            x = part.ue_train_rows[i]
-            parts["label"] += -np.log(floor(prob(x)[part.shuffled_labels[i]], 1e-300))
-            dist = norm(embed(x) - part.ue_prototype[i])
-            parts["prototype"] += dist if dist.real > 1e-12 else dist.real
+        for x, t in zip(part.ue_train_rows, part.target):
+            parts["target"] += kl(t, x)
         for a, pos, neg in zip(part.hie, part.positives, part.negatives):
             if len(pos) == 0:
                 continue
@@ -293,11 +295,8 @@ def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
     if lam < 1.0:
         parts["l2"] = l2_coef * sum(np.sum(arr * arr) for arr in theta.values())
         for h, mem in zip(part.hie, part.memory):
-            p = prob(x_after[h])
-            for c, m in enumerate(mem):
-                if m > 0.0:
-                    parts["kl"] += m * (np.log(m) - np.log(floor(p[c], 1e-12)))
-    forget = parts["label"] + parts["prototype"] + parts["contrastive"]
+            parts["kl"] += kl(mem, x_after[h])
+    forget = parts["target"] + parts["contrastive"]
     reason = parts["l2"] + parts["kl"]
     value = forget if lam == 1.0 else reason if lam == 0.0 \
         else lam * forget + (1.0 - lam) * reason

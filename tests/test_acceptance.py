@@ -48,6 +48,13 @@ EDGE_CONFIG = dict(k=2, scheme="s2gc", mode="mlp", hidden=64, epochs=200,
 EDGE_SEEDS = 10
 EDGE_RHOS = (0.1, 0.2, 0.3)
 
+# The CLI chain benchmark's data shape, run at RunConfig's fine-tune
+# defaults (11).
+CLI_CONFIG = {"datagen.n": 4000, "datagen.classes": 4, "datagen.p_in": 0.02,
+              "datagen.p_out": 0.002, "datagen.features": 64,
+              "train.epochs": 200, "unlearn.epochs": 50, "nim.theta": 0.5}
+CLI_SEEDS = 8
+
 
 def _verdict(num: int, desc: str, stats: str, ok: bool) -> bool:
     word = "PASS" if ok else "FAIL"
@@ -422,3 +429,29 @@ def test_10_pipeline_is_byte_deterministic(tmp_path):
                for f in compared)
     assert _verdict(10, "two identical runs produce byte-identical outputs",
                     f"{len(compared)} files compared", same)
+
+
+# ------------------------------------------------------------------ 11
+
+
+def test_11_shipped_defaults_stay_near_retrain(tmp_path):
+    import json
+    t0 = time.perf_counter()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CLI_CONFIG), encoding="utf-8")
+    gaps, deficits = [], []
+    for seed in range(CLI_SEEDS):
+        out = tmp_path / f"seed_{seed}"
+        for command in ("gen", "train", "unlearn", "retrain", "attack", "report"):
+            assert cli_main([command, "--config", str(cfg_path),
+                             "--out", str(out), "--seed", str(seed)]) == 0
+        metrics = {row["metric"]: row["value"] for row in map(
+            json.loads, (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines())}
+        gaps.append(abs(metrics["test_f1_unlearned"] - metrics["test_f1_retrain"]))
+        deficits.append(metrics["mia_auc_retrain"] - metrics["mia_auc_unlearned"])
+    dt = time.perf_counter() - t0
+    worst, deficit = max(gaps), float(np.mean(deficits))
+    ok = worst <= 0.03 and deficit <= 0.05
+    assert _verdict(11, "CLI defaults keep test F1 and MIA AUC near retrain",
+                    f"largest F1 gap {worst:.4f} over {CLI_SEEDS} seeds, mean AUC "
+                    f"retrain - unlearned {deficit:.4f}, {dt:.0f}s", ok)

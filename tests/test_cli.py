@@ -104,8 +104,7 @@ def test_unlearn_artifacts(tmp_path):
     log = [json.loads(l) for l in
            (out / "finetune_log.jsonl").read_text().splitlines()]
     assert len(log) == 5
-    assert set(log[0]) == {"epoch", "total", "label", "prototype",
-                           "contrastive", "l2", "kl"}
+    assert set(log[0]) == {"epoch", "total", "target", "contrastive", "l2", "kl"}
     rows = {r["metric"]: r["value"] for r in read_metrics(out / "metrics_unlearn.jsonl")}
     request = json.loads((out / "request.json").read_text())
     assert rows["num_ue"] == len(request["nodes"])
@@ -324,10 +323,11 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     ("edges.tsv", b"0\t1\n0\t99999999999999999999\n"),
     ("labels.tsv", b"1\t0\n0\t99999999999999999999\n"),
     ("labels.tsv", b"1\t0\n1\t3\n"),
+    ("labels.tsv", b"1\t0\n0\t1000000000000\n"),
     ("edges.tsv", b"0\t1\n0\t500\n"),
     ("features.gufm", FEATURE_MAGIC + struct.pack("<QQ", 2 ** 60, 0)),
 ], ids=["non-utf8", "edge-beyond-int64", "label-beyond-int64", "label-twice",
-        "edge-endpoint-beyond-n", "features-zero-columns"])
+        "label-class-beyond-n", "edge-endpoint-beyond-n", "features-zero-columns"])
 def test_malformed_input_file_fails_with_data_error_line(tmp_path, capsys, name, data):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -338,6 +338,21 @@ def test_malformed_input_file_fails_with_data_error_line(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert err.startswith("error=DataError") and err.count("\n") == 1
     assert name in err
+
+
+def test_empty_feature_file_fails_with_one_error_line(tmp_path):
+    # a fresh interpreter, so the real stderr shows any warning as well
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    (out / "features.gufm").write_bytes(b"")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphunlearn.cli", "train", "--config", cfg,
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error=DataError {out / 'features.gufm'}: feature file holds no data\n"
 
 
 def test_checkpoint_dims_beyond_int64_fail_with_error_line(tmp_path, capsys):

@@ -252,7 +252,7 @@ def test_edge_attack_rejects_edgeless_graph():
 
 
 def test_edge_attack_report_and_clean_graph_untouched():
-    # big enough that UE endpoints plus HIE leave prototype exemplars
+    # big enough that the forgetting targets have non-training nodes to draw from
     g = generate_sbm(SbmSpec(n=200, classes=2, p_in=0.04, p_out=0.01,
                              num_features=4, separation=2.5, train_fraction=0.8), seed=1)
     before_indices = g.indices.copy()

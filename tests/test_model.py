@@ -5,10 +5,14 @@ from graphunlearn.errors import CheckpointError, ConfigError, DataError, ShapeEr
 from graphunlearn import model
 from graphunlearn.model import (Adam, ModelParams, StepBuffers,
                                 backprop_cached, cross_entropy, forward_cache,
-                                forward_embed, init_model, load_checkpoint,
+                                init_model, load_checkpoint,
                                 predict, save_checkpoint, softmax, train)
 
 from conftest import TextbookAdam, grad_check
+
+
+def embed(params, x):
+    return forward_cache(params, x)[1]
 
 
 def logits(params, x):
@@ -83,14 +87,14 @@ def test_forward_embed_is_relu_affine():
     p = small_model("mlp")
     x = np.random.default_rng(2).standard_normal((5, 4))
     expect = np.maximum(x @ p.w_emb + p.b_emb, 0.0)
-    assert np.allclose(forward_embed(p, x), expect)
+    assert np.allclose(embed(p, x), expect)
 
 
 def test_forward_linear_embedding_is_logits():
     p = small_model("linear")
     x = np.random.default_rng(3).standard_normal((5, 4))
-    assert np.allclose(forward_embed(p, x), x @ p.w_pre + p.b_pre)
-    assert np.allclose(logits(p, x), forward_embed(p, x))
+    assert np.allclose(embed(p, x), x @ p.w_pre + p.b_pre)
+    assert np.allclose(logits(p, x), embed(p, x))
 
 
 def test_forward_predict_rows_sum_to_one():
@@ -106,7 +110,7 @@ def test_forward_predict_rows_sum_to_one():
 def test_forward_rejects_wrong_width():
     p = small_model("mlp")
     with pytest.raises(ShapeError):
-        forward_embed(p, np.zeros((2, 5)))
+        embed(p, np.zeros((2, 5)))
 
 
 def test_mlp_hand_computed_forward():
@@ -116,7 +120,7 @@ def test_mlp_hand_computed_forward():
                     w_pre=np.array([[2.0, -2.0]]),
                     b_pre=np.array([0.0, 1.0]))
     x = np.array([[1.0, 2.0]])          # pre-activation 1 - 2 + 0.5 = -0.5 -> relu 0
-    assert np.allclose(forward_embed(p, x), [[0.0]])
+    assert np.allclose(embed(p, x), [[0.0]])
     assert np.allclose(logits(p, x), [[0.0, 1.0]])
     x2 = np.array([[2.0, 0.0]])         # pre-activation 2.5
     assert np.allclose(logits(p, x2), [[5.0, -4.0]])

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from graphunlearn.errors import (ConfigError, DataError, PrototypeError,
-                                 RequestError)
+from graphunlearn.errors import ConfigError, DataError, RequestError
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
-from graphunlearn.model import (ModelParams, forward_embed, init_model,
-                                predict, train)
+from graphunlearn.model import ModelParams, init_model, predict, train
 from graphunlearn.unlearn import (EntityPartition, FinetuneBuffers, UnlearnRequest,
-                                  apply_removal, build_prototypes, finetune,
-                                  fused_loss, gather_working_set, prepare_partition,
-                                  read_request, shuffle_labels,
-                                  transform_request, write_request)
+                                  apply_removal, finetune, fused_loss,
+                                  gather_working_set, prepare_partition,
+                                  read_request, transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
 
 from conftest import TextbookAdam, grad_check, loss_oracle, make_graph
@@ -132,62 +129,6 @@ def test_apply_removal_leaves_input_untouched():
     assert np.array_equal(g.features, snap_feat)
 
 
-# --------------------------------------------------------------- shuffle_labels
-
-def test_shuffle_never_returns_true_label():
-    labels = np.array([0, 1, 2, 3] * 10)
-    ue = np.arange(40)
-    for seed in range(5):
-        out = shuffle_labels(ue, labels, num_classes=4, seed=seed)
-        assert np.all(out != labels[ue])
-        assert out.min() >= 0 and out.max() < 4
-
-
-def test_shuffle_two_classes_forces_complement():
-    labels = np.array([0, 1, 0, 1])
-    out = shuffle_labels(np.arange(4), labels, num_classes=2, seed=0)
-    assert np.array_equal(out, 1 - labels)
-
-
-def test_shuffle_uniform_over_wrong_classes():
-    labels = np.zeros(3000, dtype=int)
-    out = shuffle_labels(np.arange(3000), labels, num_classes=4, seed=1)
-    freq = np.bincount(out, minlength=4) / 3000
-    assert freq[0] == 0.0
-    assert np.abs(freq[1:] - 1 / 3).max() < 0.02
-
-
-def test_shuffle_deterministic_and_validated():
-    labels = np.array([0, 1, 2])
-    a = shuffle_labels([0, 2], labels, 3, seed=5)
-    b = shuffle_labels([0, 2], labels, 3, seed=5)
-    assert np.array_equal(a, b)
-    with pytest.raises(ConfigError):
-        shuffle_labels([0], labels, 1, seed=0)
-    with pytest.raises(DataError):
-        shuffle_labels([0], np.array([-1, 0, 1]), 3, seed=0)
-
-
-# ------------------------------------------------------------------- prototypes
-
-def test_prototypes_mean_and_presence():
-    emb = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 5.0]])
-    labels = np.array([0, 0, 2])
-    protos, present = build_prototypes(emb, labels, num_classes=3)
-    assert np.allclose(protos[0], [2.0, 0.0], atol=1e-12)
-    assert np.allclose(protos[2], [0.0, 5.0])
-    assert list(present) == [True, False, True]
-
-
-def test_prototypes_skip_unlabeled_and_require():
-    emb = np.ones((3, 2))
-    labels = np.array([0, -1, -1])
-    protos, present = build_prototypes(emb, labels, 2)
-    assert present[0] and not present[1]
-    with pytest.raises(DataError):
-        build_prototypes(np.ones((2, 2)), np.array([0]), 2)
-
-
 # ------------------------------------------------- partition assembly machinery
 
 def pipeline_fixture(seed=0, n=24, classes=3, mode="mlp"):
@@ -270,12 +211,6 @@ def test_partition_pools_stay_in_bounds():
         assert set(part.negatives[i]) <= ue_hie - {int(anchor)}
 
 
-def test_partition_shuffled_labels_avoid_truth():
-    part, _, _, _ = partition_fixture()
-    g, *_ = pipeline_fixture()
-    assert np.all(part.shuffled_labels != g.labels[part.ue])
-
-
 def test_partition_memory_matches_original_view_of_after_rows():
     part, params, x_after, _ = partition_fixture()
     assert np.allclose(part.memory, predict(params, x_after[part.hie]), atol=1e-15)
@@ -284,48 +219,55 @@ def test_partition_memory_matches_original_view_of_after_rows():
 def test_partition_deterministic_in_seed():
     a, _, _, _ = partition_fixture(seed=4)
     b, _, _, _ = partition_fixture(seed=4)
-    assert np.array_equal(a.shuffled_labels, b.shuffled_labels)
-    assert np.array_equal(a.ue_prototype, b.ue_prototype)
+    assert np.array_equal(a.target, b.target)
     for pa, pb in zip(a.positives, b.positives):
         assert np.array_equal(pa, pb)
 
 
-def path_partition(labels):
-    """Unlearn nodes 1 and 2 of a labeled 6-node path, without HIE."""
+# original soft labels on a 6-node path: the original model puts nodes 1
+# and 5 in class 1 and the rest in class 0; no two rows are equal
+PATH_SOFT = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3],
+                      [0.6, 0.4], [0.55, 0.45], [0.35, 0.65]])
+
+
+def path_partition(train, soft=PATH_SOFT):
+    """Unlearn nodes 1 and 2 of a 6-node path, without HIE, given the
+    training mask and the original model's soft labels."""
     n = 6
     g = make_graph(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
-                   labels=np.array(labels),
-                   train=np.ones(n, dtype=bool), test=None)
+                   labels=np.array([0, 1, 1, 0, 0, 0]),
+                   train=np.array(train, dtype=bool), test=None)
     op = normalized_adjacency(g, r=0.5)
     cfg = PropagationConfig.s2gc(1)
     x = propagate(op, g.features, cfg)
     params = init_model(3, 4, 2, mode="linear", seed=0)
-    soft = predict(params, x)
-    req = UnlearnRequest(kind="node", nodes=(1, 2))
-    g_after = apply_removal(g, req)
+    g_after = apply_removal(g, UnlearnRequest(kind="node", nodes=(1, 2)))
     x_after = propagate(normalized_adjacency(g_after, 0.5), g_after.features, cfg)
-
-    def part():
-        return prepare_partition(g_after, x_after, np.array([1, 2]), np.array([]),
-                                 soft, params, x_before=x, positives_per_anchor=5,
-                                 negatives_per_anchor=5, seed=0)
-    return part, params, x_after
+    return prepare_partition(g_after, x_after, np.array([1, 2]),
+                             np.array([], dtype=np.int64), soft, params, x_before=x,
+                             positives_per_anchor=5, negatives_per_anchor=5, seed=0)
 
 
-def test_partition_fails_without_foreign_prototype():
-    # node 1 is the only class-0 node and is unlearned, so every surviving
-    # exemplar has node 2's own class: no foreign pull target
-    part, _, _ = path_partition([1, 0, 1, 1, 1, 1])
-    with pytest.raises(PrototypeError):
-        part()
+def test_partition_target_shares_argmax():
+    # non-members 4 (class 0) and 5 (class 1): node 1 (class 1) gets
+    # node 5's soft labels and node 2 (class 0) gets node 4's
+    part = path_partition([True] * 4 + [False] * 2)
+    assert np.array_equal(part.target, PATH_SOFT[[5, 4]])
 
 
 def test_partition_unlearns_every_node_of_a_class():
-    # UE {1, 2} is all of class 1; the class-0 prototype is the pull target
-    part, params, x_after = path_partition([0, 1, 1, 0, 0, 0])
-    target = forward_embed(params, x_after[[0, 3, 4, 5]]).mean(axis=0)
-    got = part().ue_prototype
-    assert np.array_equal(got[0], target) and np.array_equal(got[1], target)
+    # UE {1, 2} is all of class 1 and node 5, the one non-member, is
+    # class 0: both targets fall back to the whole pool
+    soft = PATH_SOFT.copy()
+    soft[[2, 5]] = soft[[5, 2]]
+    part = path_partition([True] * 5 + [False], soft)
+    assert np.array_equal(part.target, soft[[5, 5]])
+
+
+def test_partition_fails_without_non_member():
+    # every node trains, so there is no non-member to draw a target from
+    with pytest.raises(DataError):
+        path_partition([True] * 6)
 
 
 # ------------------------------------------------------------ loss value oracles
@@ -338,9 +280,8 @@ def toy_partition():
                         [1.0, -1.0]])    # negative
     params = ModelParams(mode="linear", w_pre=np.eye(2), b_pre=np.zeros(2))
     part = EntityPartition(
-        ue=np.array([0]), hie=np.array([1]), shuffled_labels=np.array([1]),
+        ue=np.array([0]), hie=np.array([1]), target=np.array([[0.25, 0.75]]),
         ue_train_rows=np.array([[2.0, -1.0]]),
-        ue_prototype=np.array([[0.0, 3.0]]),
         positives=[np.array([2])], negatives=[np.array([3])],
         memory=predict(params, x_after[[1]]))
     return part, params, x_after
@@ -353,18 +294,12 @@ def toy_loss(lam, tau=0.5, l2_coef=5e-4):
                       buf=FinetuneBuffers(params, ws))
 
 
-def test_label_shuffle_loss_matches_direct_formula():
+def test_target_loss_matches_direct_formula():
     part, params, _ = toy_partition()
-    value = toy_loss(1.0)[2]["label"]
-    soft = predict(params, part.ue_train_rows)
-    assert value == pytest.approx(-np.log(soft[0, 1]), abs=1e-12)
-
-
-def test_prototype_loss_matches_direct_formula():
-    part, params, _ = toy_partition()
-    value = toy_loss(1.0)[2]["prototype"]
-    emb = forward_embed(params, part.ue_train_rows)
-    assert value == pytest.approx(np.linalg.norm(emb[0] - [0.0, 3.0]), abs=1e-12)
+    value = toy_loss(1.0)[2]["target"]
+    soft = predict(params, part.ue_train_rows)[0]
+    t = np.array([0.25, 0.75])
+    assert value == pytest.approx(np.sum(t * np.log(t / soft)), abs=1e-12)
 
 
 def test_contrastive_symmetric_pair_gives_log_two():
@@ -385,10 +320,10 @@ def test_contrastive_skips_anchor_without_positives():
 
 
 def test_forgetting_loss_is_sum_of_parts():
-    # the total is the lam-weighted sum of the five reported parts
+    # the total is the lam-weighted sum of the four reported parts
     for lam in (0.0, 0.3, 1.0):
         total, _, parts = toy_loss(lam, tau=0.5)
-        forget = parts["label"] + parts["prototype"] + parts["contrastive"]
+        forget = parts["target"] + parts["contrastive"]
         reason = parts["l2"] + parts["kl"]
         assert total == pytest.approx(lam * forget + (1 - lam) * reason, abs=1e-12)
 
@@ -475,11 +410,11 @@ def test_working_set_stacks_ue_cache_over_after_rows():
 def test_mixed_loss_endpoints_are_exact():
     # at lam=1 only the forgetting parts count, at lam=0 only l2 + kl
     v1, _, parts1 = toy_loss(1.0)
-    assert v1 == parts1["label"] + parts1["prototype"] + parts1["contrastive"]
+    assert v1 == parts1["target"] + parts1["contrastive"]
     assert parts1["l2"] == 0.0 and parts1["kl"] == 0.0
     v0, _, parts0 = toy_loss(0.0)
     assert v0 == parts0["l2"] + parts0["kl"]
-    assert parts0["label"] == parts0["prototype"] == parts0["contrastive"] == 0.0
+    assert parts0["target"] == parts0["contrastive"] == 0.0
 
 
 def test_mixed_loss_is_convex_combination():
@@ -570,8 +505,7 @@ def test_finetune_log_entries_have_all_components():
                       lr=0.01, epochs=2, lam=0.5, tau=0.5, l2_coef=5e-4)
     for i, entry in enumerate(log.epochs):
         assert entry["epoch"] == i
-        assert set(entry) == {"epoch", "total", "label", "prototype",
-                              "contrastive", "l2", "kl"}
+        assert set(entry) == {"epoch", "total", "target", "contrastive", "l2", "kl"}
 
 
 def test_finetune_reads_only_working_set_rows():
