@@ -234,6 +234,8 @@ def _parse_seed_range(text: str):
     a, b = int(m.group(1)), int(m.group(2))
     if b < a:
         raise ConfigError(f"--seeds range is empty: {text}")
+    if b - a >= 2 ** 16:  # one run directory and one queued task per seed, made up front
+        raise ConfigError(f"--seeds range holds more than 65536 seeds: {text}")
     return list(range(a, b + 1))
 
 

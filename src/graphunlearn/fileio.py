@@ -163,13 +163,13 @@ def write_features(path, features) -> None:
 
 def read_labels(path, n: int) -> np.ndarray:
     """Parse a label file; a node outside [0, n), a node listed twice or a
-    class id of n or more is a DataError."""
+    class id outside [-1, n) is a DataError (-1 is unlabeled)."""
     rows = _read_ints(path, 2)
     nodes = rows[:, 0]
     _check_range(path, nodes, n, DataError)
-    big = np.flatnonzero(rows[:, 1] >= n)
-    if big.size:
-        raise DataError(f"{path}:{big[0] + 1}: class {rows[big[0], 1]} not below n = {n}")
+    bad = np.flatnonzero((rows[:, 1] < UNLABELED) | (rows[:, 1] >= n))
+    if bad.size:
+        raise DataError(f"{path}:{bad[0] + 1}: class {rows[bad[0], 1]} not in [-1, {n})")
     first = np.unique(nodes, return_index=True)[1]
     if first.size != nodes.size:
         repeat = np.ones(nodes.size, dtype=bool)

@@ -310,7 +310,7 @@ def unlearn_state(state: PipelineState, request: UnlearnRequest,
         graph_after, x_after, ue, hie, state.soft, state.params,
         x_before=state.x_tilde, positives_per_anchor=cfg.positives,
         negatives_per_anchor=cfg.negatives, seed=seed)
-    params, log = finetune(state.params, partition, x_after, lr=cfg.finetune_lr,
+    params, log = finetune(state.params, partition, lr=cfg.finetune_lr,
                            epochs=cfg.finetune_epochs, lam=cfg.lam, tau=cfg.tau,
                            l2_coef=cfg.l2_coef)
 

@@ -36,13 +36,13 @@ and an all-zero embedding has cosine 0 with every row.  At lam = 1 and
 lam = 0 the other half is neither computed nor reported.
 
 The UE rows that the forgetting terms read are the propagated rows the
-entities contributed while training, cached in the partition before
-removal; everything else reads the post-removal propagated features.
-The per-step work therefore touches only UE, HIE and the sampled
-positives/negatives, never the whole graph: finetune gathers those rows
-once (gather_working_set) and runs every epoch as one forward and one
-backward pass over them (fused_loss), writing into buffers allocated
-once per call (FinetuneBuffers).
+entities contributed while training, cached before removal; everything
+else reads the post-removal propagated features.  The per-step work
+therefore touches only UE, HIE and the sampled positives/negatives,
+never the whole graph: prepare_partition draws that working set and
+gathers its rows once (EntityPartition), and finetune runs every epoch
+as one forward and one backward pass over them (fused_loss), writing
+into buffers allocated once per call (FinetuneBuffers).
 """
 
 from __future__ import annotations
@@ -185,22 +185,31 @@ def apply_removal(graph: Graph, request: UnlearnRequest) -> Graph:
 
 @dataclass
 class EntityPartition:
-    """Frozen per-run working set for fine-tuning.
+    """The working set of one fine-tune, drawn and gathered once per run.
 
     Everything random (forgetting targets, contrastive samples) is drawn
-    once here, so the fine-tune loop itself is fully deterministic.
-    ue_train_rows caches the pre-removal propagated rows of the
-    unlearned entities: that is the data whose imprint is being erased,
-    and for node removals the post-removal rows would be zero.
+    once, so the fine-tune loop itself is fully deterministic.  x stacks
+    the pre-removal propagated rows of UE (the data whose imprint is
+    being erased; after a node removal its rows are zero) on the
+    post-removal rows of the other working-set nodes.  The anchors that
+    have positives index into x through `anchor` and `others`, the
+    positives then negatives of each anchor padded to the longest list.
     """
 
     ue: np.ndarray
     hie: np.ndarray
     target: np.ndarray              # (|ue|, classes) soft labels of drawn non-members
-    ue_train_rows: np.ndarray       # (|ue|, f) pre-removal propagated rows
+    memory: np.ndarray              # (|hie|, classes) original soft labels
     positives: list                 # per anchor: node ids outside ue and hie
     negatives: list                 # per anchor: node ids in ue or hie
-    memory: np.ndarray              # (|hie|, classes) original soft labels
+    x: np.ndarray                   # (|ue| + |rows|, f) every row the fine-tune reads
+    rows: np.ndarray                # sorted node ids of x[|ue|:]: HIE and the samples
+    hie_at: np.ndarray              # HIE's positions in x
+    anchor: np.ndarray              # (A,) positions in x of the anchors with positives
+    others: np.ndarray              # (A, M) their positives then negatives, padded
+    valid: np.ndarray               # (A, M) real entries of others
+    positive: np.ndarray            # (A, M) positive entries of others
+    scatter: sp.csr_matrix          # (len(x), A*M) sums per-pair gradients onto x
 
 
 def _sample_pool(rng, pool: np.ndarray, pool_labels: np.ndarray,
@@ -219,7 +228,7 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
                       original_soft: np.ndarray, original_params: ModelParams,
                       x_before: np.ndarray, *, positives_per_anchor: int,
                       negatives_per_anchor: int, seed: int) -> EntityPartition:
-    """Assemble the working set for fine-tuning.
+    """Draw the working set for fine-tuning and gather its rows.
 
     Class assignments come from the original model's predictions (argmax
     of original_soft), so no labels are read.  Each u in UE, in
@@ -227,11 +236,13 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     from the non-training nodes outside UE that share u's predicted
     class, or from all of them when none does; DataError when there are
     none at all.  Then each HIE anchor draws its contrastive positives
-    and negatives.
+    and negatives.  Last, the rows the fine-tune reads are gathered:
+    UE's from x_before, every other node's from x_after.
     """
     if positives_per_anchor < 0 or negatives_per_anchor < 0:
         raise ConfigError("positives and negatives per anchor must be nonnegative")
     num_classes = original_params.num_classes
+    x_after = np.asarray(x_after, dtype=np.float64)
     ue = np.unique(np.asarray(ue, dtype=np.int64))
     hie = np.unique(np.asarray(hie, dtype=np.int64))
     if np.intersect1d(ue, hie).size:
@@ -268,56 +279,27 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
 
     # the KL memory is the original model's view of the post-removal
     # rows, so the reasoning term starts at exactly zero
-    memory = predict(original_params, np.asarray(x_after, dtype=np.float64)[hie]) \
+    memory = predict(original_params, x_after[hie]) \
         if hie.size else np.zeros((0, num_classes))
-
-    return EntityPartition(ue=ue, hie=hie, target=target,
-                           ue_train_rows=np.asarray(x_before, dtype=np.float64)[ue],
-                           positives=positives, negatives=negatives, memory=memory)
+    return _gather(ue, hie, target, memory, positives, negatives,
+                   np.asarray(x_before, dtype=np.float64)[ue], x_after)
 
 
-@dataclass
-class WorkingSet:
-    """Every row one fine-tune reads, gathered once per partition.
-
-    x stacks the cached pre-removal rows of UE (its first |ue| rows) on
-    the post-removal rows of the other working-set nodes, `rows` (HIE
-    and the sampled positives/negatives, sorted).  The contrastive
-    anchors that have positives index into x through `anchor` (A,) and
-    `others` (A, M), the positives then negatives of each anchor padded
-    to the longest list; `valid` marks real entries and `positive` the
-    positives.  `scatter` (len(x), A*M) sums per-pair gradients back onto
-    rows of x.
-    """
-
-    partition: EntityPartition
-    x: np.ndarray
-    rows: np.ndarray
-    hie: np.ndarray
-    anchor: np.ndarray
-    others: np.ndarray
-    valid: np.ndarray
-    positive: np.ndarray
-    scatter: sp.csr_matrix
-
-
-def gather_working_set(partition: EntityPartition, x_after: np.ndarray) -> WorkingSet:
-    """Gather the working-set rows and the fixed contrastive index tensors."""
-    ue = partition.ue
-    nodes = np.unique(np.concatenate(
-        [partition.hie, *partition.positives, *partition.negatives]).astype(np.int64))
+def _gather(ue, hie, target, memory, positives, negatives,
+            ue_rows: np.ndarray, x_after: np.ndarray) -> EntityPartition:
+    """The partition of these draws: its rows, UE's from ue_rows and the
+    rest from x_after, and the fixed contrastive index tensors."""
+    nodes = np.unique(np.concatenate([hie, *positives, *negatives]).astype(np.int64))
     rows = nodes[~np.isin(nodes, ue)]
-    x = np.concatenate([partition.ue_train_rows,
-                        np.asarray(x_after, dtype=np.float64)[rows]])
+    x = np.concatenate([ue_rows, x_after[rows]])
     order = np.concatenate([ue, rows])
     sorter = np.argsort(order)
 
     def where(ids):
         return sorter[np.searchsorted(order, ids, sorter=sorter)]
 
-    kept = [i for i, pos in enumerate(partition.positives) if len(pos)]
-    lists = [np.concatenate([partition.positives[i], partition.negatives[i]]).astype(np.int64)
-             for i in kept]
+    kept = [i for i, pos in enumerate(positives) if len(pos)]
+    lists = [np.concatenate([positives[i], negatives[i]]).astype(np.int64) for i in kept]
     width = max((len(ids) for ids in lists), default=0)
     others = np.zeros((len(kept), width), dtype=np.int64)
     valid = np.zeros((len(kept), width), dtype=bool)
@@ -325,13 +307,14 @@ def gather_working_set(partition: EntityPartition, x_after: np.ndarray) -> Worki
     for a, (i, ids) in enumerate(zip(kept, lists)):
         others[a, :ids.size] = where(ids)
         valid[a, :ids.size] = True
-        positive[a, :len(partition.positives[i])] = True
+        positive[a, :len(positives[i])] = True
     flat = np.flatnonzero(valid)
     scatter = sp.csr_matrix((np.ones(flat.size), (others.ravel()[flat], flat)),
                             shape=(x.shape[0], others.size))
-    return WorkingSet(partition=partition, x=x, rows=rows, hie=where(partition.hie),
-                      anchor=where(partition.hie[kept]), others=others, valid=valid,
-                      positive=positive, scatter=scatter)
+    return EntityPartition(ue=ue, hie=hie, target=target, memory=memory,
+                           positives=positives, negatives=negatives, x=x, rows=rows,
+                           hie_at=where(hie), anchor=where(hie[kept]), others=others,
+                           valid=valid, positive=positive, scatter=scatter)
 
 
 class FinetuneBuffers(StepBuffers):
@@ -340,46 +323,47 @@ class FinetuneBuffers(StepBuffers):
     block, so that the epochs of one finetune call allocate none of them.
     """
 
-    def __init__(self, params: ModelParams, ws: WorkingSet):
-        super().__init__(params, ws.x.shape[0])
+    def __init__(self, params: ModelParams, part: EntityPartition):
+        super().__init__(params, part.x.shape[0])
         self.loss_demb = np.empty_like(self.demb)   # gradient of the loss at the embedding
         self.cl_demb = np.empty_like(self.demb)     # the contrastive term's share of it
         self.scratch = np.empty_like(self.demb)
-        self.pairs = np.empty(ws.others.shape + self.demb.shape[1:])
+        self.pairs = np.empty(part.others.shape + self.demb.shape[1:])
 
 
-def _contrastive_fused(emb: np.ndarray, ws: WorkingSet, tau: float, buf: FinetuneBuffers):
+def _contrastive_fused(emb: np.ndarray, part: EntityPartition, tau: float,
+                       buf: FinetuneBuffers):
     """The contrastive term over all anchors at once: (value, d value / d emb),
     the gradient written into buf.cl_demb."""
     demb = buf.cl_demb
     demb.fill(0.0)
-    if ws.anchor.size == 0:
+    if part.anchor.size == 0:
         return 0.0, demb
     norms = np.linalg.norm(emb, axis=1)
-    a = emb[ws.anchor]
-    b = np.take(emb, ws.others, axis=0, out=buf.pairs)
-    na = norms[ws.anchor]
-    nb = norms[ws.others]
+    a = emb[part.anchor]
+    b = np.take(emb, part.others, axis=0, out=buf.pairs)
+    na = norms[part.anchor]
+    nb = norms[part.others]
     cos = np.einsum("amd,ad->am", b, a) / np.maximum(na[:, None] * nb, 1e-300)
-    w = np.where(ws.valid, np.exp(cos / tau), 0.0)
-    pos_mass = (w * ws.positive).sum(axis=1)
+    w = np.where(part.valid, np.exp(cos / tau), 0.0)
+    pos_mass = (w * part.positive).sum(axis=1)
     total = w.sum(axis=1)
     value = float(np.sum(np.log(total) - np.log(pos_mass)))
-    ds = (w / total[:, None] - ws.positive * w / pos_mass[:, None]) / tau
+    ds = (w / total[:, None] - part.positive * w / pos_mass[:, None]) / tau
     # zero-norm anchors and rows contribute nothing to the gradient; their
     # norms become 1 so that no division below can produce 0/0
     has_a, has_b = na > 1e-12, nb > 1e-12
-    ds = ds * (ws.valid & has_a[:, None] & has_b)
+    ds = ds * (part.valid & has_a[:, None] & has_b)
     na = np.where(has_a, na, 1.0)
     nb = np.where(has_b, nb, 1.0)
     # d cos / d a = (b/|b| - cos a/|a|) / |a|,  d cos / d b = (a/|a| - cos b/|b|) / |b|
-    demb[ws.anchor] += (np.einsum("am,amd->ad", ds / nb, b)
-                        - (ds * cos).sum(axis=1)[:, None] * a / na[:, None]) / na[:, None]
+    demb[part.anchor] += (np.einsum("am,amd->ad", ds / nb, b)
+                          - (ds * cos).sum(axis=1)[:, None] * a / na[:, None]) / na[:, None]
     # b is not read again, so its block takes toward_anchor
     toward_anchor = np.multiply((ds / (nb * na[:, None]))[..., None], a[:, None, :],
                                 out=buf.pairs)
-    demb += ws.scatter @ toward_anchor.reshape(-1, emb.shape[1])
-    demb -= np.multiply((ws.scatter @ (ds * cos / (nb * nb)).ravel())[:, None], emb,
+    demb += part.scatter @ toward_anchor.reshape(-1, emb.shape[1])
+    demb -= np.multiply((part.scatter @ (ds * cos / (nb * nb)).ravel())[:, None], emb,
                         out=buf.scratch)
     return value, demb
 
@@ -396,9 +380,9 @@ def _kl(target: np.ndarray, p: np.ndarray):
     return float(ratio.sum()), p * s_act - target * active
 
 
-def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
+def fused_loss(params: ModelParams, part: EntityPartition, lam: float, tau: float,
                l2_coef: float, buf: FinetuneBuffers):
-    """The fine-tune objective in one forward and one backward pass over ws.x.
+    """The fine-tune objective in one forward and one backward pass over part.x.
 
     Returns (value, grads, parts): parts holds the four terms unweighted,
     and a term whose weight is zero reports 0.  The passes and their
@@ -406,8 +390,7 @@ def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")
-    part = ws.partition
-    z1, emb, z = forward_cache(params, ws.x, buf)
+    z1, emb, z = forward_cache(params, part.x, buf)
     soft = softmax(z)
     dlogits = np.zeros_like(z)
     demb = buf.loss_demb
@@ -418,15 +401,15 @@ def fused_loss(params: ModelParams, ws: WorkingSet, lam: float, tau: float,
     if lam > 0.0:
         parts["target"], dz = _kl(part.target, soft[:nu])
         dlogits[:nu] = lam * dz
-        parts["contrastive"], d_cl = _contrastive_fused(emb, ws, tau, buf)
+        parts["contrastive"], d_cl = _contrastive_fused(emb, part, tau, buf)
         d_cl *= lam
         demb += d_cl
 
-    if lam < 1.0 and ws.hie.size:
-        parts["kl"], dz = _kl(part.memory, soft[ws.hie])
-        dlogits[ws.hie] = (1.0 - lam) * dz
+    if lam < 1.0 and part.hie.size:
+        parts["kl"], dz = _kl(part.memory, soft[part.hie_at])
+        dlogits[part.hie_at] = (1.0 - lam) * dz
 
-    grads = backprop_cached(params, ws.x, z1, emb, dlogits, demb, buf)
+    grads = backprop_cached(params, part.x, z1, emb, dlogits, demb, buf)
     if lam < 1.0:
         l2 = 0.0
         for name, arr in params.items():
@@ -447,14 +430,14 @@ class FinetuneLog:
     rows_read: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
 
-def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarray,
-             *, lr: float, epochs: int, lam: float, tau: float, l2_coef: float):
+def finetune(params: ModelParams, partition: EntityPartition, *, lr: float,
+             epochs: int, lam: float, tau: float, l2_coef: float):
     """Adam fine-tuning of the mixed objective over the working set.
 
     Returns (new params, FinetuneLog).  The log records every loss
     component per epoch and the post-removal feature rows read, which
     are HIE plus the sampled positives/negatives (UE rows come from the
-    partition cache).
+    partition's pre-removal cache).
     """
     if lr < 0 or epochs < 0 or l2_coef < 0:
         raise ConfigError("lr, epochs and l2_coef must be nonnegative")
@@ -463,12 +446,11 @@ def finetune(params: ModelParams, partition: EntityPartition, x_after: np.ndarra
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}")
     params = params.copy()
-    ws = gather_working_set(partition, x_after)
     opt = Adam(params, lr, weight_decay=0.0)
-    buf = FinetuneBuffers(params, ws)
-    log = FinetuneLog(rows_read=ws.rows)
+    buf = FinetuneBuffers(params, partition)
+    log = FinetuneLog(rows_read=partition.rows)
     for epoch in range(epochs):
-        value, grads, parts = fused_loss(params, ws, lam=lam, tau=tau,
+        value, grads, parts = fused_loss(params, partition, lam=lam, tau=tau,
                                          l2_coef=l2_coef, buf=buf)
         opt.step(params, grads)
         entry = {"epoch": epoch, "total": float(value)}

@@ -267,9 +267,11 @@ def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
     def floor(v, eps):
         return v if v.real > eps else eps
 
+    ue_rows = part.x[:part.ue.size]
+
     def row(v):
         hit = np.flatnonzero(part.ue == v)
-        return part.ue_train_rows[hit[0]] if hit.size else x_after[v]
+        return ue_rows[hit[0]] if hit.size else x_after[v]
 
     def kl(target, x):
         p = prob(x)
@@ -278,7 +280,7 @@ def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
 
     parts = dict.fromkeys(("target", "contrastive", "l2", "kl"), 0.0)
     if lam > 0.0:
-        for x, t in zip(part.ue_train_rows, part.target):
+        for x, t in zip(ue_rows, part.target):
             parts["target"] += kl(t, x)
         for a, pos, neg in zip(part.hie, part.positives, part.negatives):
             if len(pos) == 0:

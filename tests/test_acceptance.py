@@ -23,8 +23,7 @@ from graphunlearn.pipeline import (Pipeline, RunConfig, retrain_state,
                                    train_state, unlearn_state)
 from graphunlearn.pipeline import test_f1 as pipeline_f1
 from graphunlearn.unlearn import (FinetuneBuffers, UnlearnRequest, apply_removal,
-                                  finetune, fused_loss, gather_working_set,
-                                  prepare_partition)
+                                  finetune, fused_loss, prepare_partition)
 
 from conftest import (dense_pi, grad_check, influence_oracle, make_graph,
                       random_connected_graph, walk_pi_matrix)
@@ -141,13 +140,12 @@ def test_02_gradients_match_finite_differences():
         part = prepare_partition(after, x_after, ue, hie, soft, params, x_before=x,
                                  positives_per_anchor=5, negatives_per_anchor=5, seed=0)
         rows = graph.train_mask
-        ws = gather_working_set(part, x_after)
         losses = {"ce": lambda p: cross_entropy(p, x[rows], graph.labels[rows],
                                                 StepBuffers(p, int(rows.sum())))}
         for lam in (0.0, 0.3, 1.0):
             losses[f"fused/lambda={lam}"] = \
-                lambda p, lam=lam: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4,
-                                              buf=FinetuneBuffers(p, ws))[:2]
+                lambda p, lam=lam: fused_loss(p, part, lam=lam, tau=0.5, l2_coef=5e-4,
+                                              buf=FinetuneBuffers(p, part))[:2]
         for name, fn in losses.items():
             worst[f"{mode}/{name}"] = grad_check(params, fn, seed=7, num_probes=20)
     dt = time.perf_counter() - t0
@@ -376,7 +374,7 @@ def _finetune_setup(n: int, seed: int):
     part = prepare_partition(after, x_after, ue, np.sort(hie), state.soft,
                              state.params, x_before=state.x_tilde,
                              positives_per_anchor=5, negatives_per_anchor=5, seed=seed)
-    return state.params, part, x_after
+    return state.params, part
 
 
 def test_09_finetune_cost_tracks_entities_not_graph_size():
@@ -390,9 +388,9 @@ def test_09_finetune_cost_tracks_entities_not_graph_size():
     for _ in range(5):
         for s in seeds:
             for n in sizes:
-                params, part, x_after = setups[n, s]
+                params, part = setups[n, s]
                 t0 = time.perf_counter()
-                finetune(params, part, x_after, **ft)
+                finetune(params, part, **ft)
                 best[n, s] = min(best[n, s], (time.perf_counter() - t0) / ft["epochs"])
     small, large = (np.mean([best[n, s] for s in seeds]) for n in sizes)
     ratio = large / small

@@ -324,10 +324,12 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     ("labels.tsv", b"1\t0\n0\t99999999999999999999\n"),
     ("labels.tsv", b"1\t0\n1\t3\n"),
     ("labels.tsv", b"1\t0\n0\t1000000000000\n"),
+    ("labels.tsv", b"1\t0\n0\t-5\n"),
     ("edges.tsv", b"0\t1\n0\t500\n"),
     ("features.gufm", FEATURE_MAGIC + struct.pack("<QQ", 2 ** 60, 0)),
 ], ids=["non-utf8", "edge-beyond-int64", "label-beyond-int64", "label-twice",
-        "label-class-beyond-n", "edge-endpoint-beyond-n", "features-zero-columns"])
+        "label-class-beyond-n", "label-class-below-unlabeled", "edge-endpoint-beyond-n",
+        "features-zero-columns"])
 def test_malformed_input_file_fails_with_data_error_line(tmp_path, capsys, name, data):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -429,6 +431,10 @@ def test_bad_seed_range_and_missing_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run("train", cfg, tmp_path / "run", seeds="5..2") == 1
     assert capsys.readouterr().err.startswith("error=ConfigError")
+    huge = "0..99999999999999999999"
+    assert run("gen", cfg, tmp_path / "run", seeds=huge) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConfigError") and huge in err and err.count("\n") == 1
     assert run("train", cfg, tmp_path / "empty") == 1
     assert capsys.readouterr().err.startswith("error=IoError")
 

@@ -4,9 +4,8 @@ import pytest
 from graphunlearn.errors import ConfigError, DataError, RequestError
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.model import ModelParams, init_model, predict, train
-from graphunlearn.unlearn import (EntityPartition, FinetuneBuffers, UnlearnRequest,
-                                  apply_removal, finetune, fused_loss,
-                                  gather_working_set, prepare_partition,
+from graphunlearn.unlearn import (FinetuneBuffers, UnlearnRequest, _gather,
+                                  apply_removal, finetune, fused_loss, prepare_partition,
                                   read_request, transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
 
@@ -199,7 +198,7 @@ def test_partition_rejects_negative_sample_counts():
 
 def test_partition_caches_pre_removal_rows():
     part, _, _, x_before = partition_fixture()
-    assert np.array_equal(part.ue_train_rows, x_before[part.ue])
+    assert np.array_equal(part.x[:part.ue.size], x_before[part.ue])
 
 
 def test_partition_pools_stay_in_bounds():
@@ -272,32 +271,34 @@ def test_partition_fails_without_non_member():
 
 # ------------------------------------------------------------ loss value oracles
 
-def toy_partition():
-    """Hand-built 4-node partition with full control over every pool."""
+def toy_partition(positives=(2,), zero_row=None):
+    """Hand-built 4-node partition with full control over every pool;
+    zero_row zeroes that post-removal row after the memory is taken."""
     x_after = np.array([[0.0, 0.0],      # ue row in x_after is irrelevant
                         [1.0, 0.0],      # hie anchor
                         [1.0, 1.0],      # positive
                         [1.0, -1.0]])    # negative
     params = ModelParams(mode="linear", w_pre=np.eye(2), b_pre=np.zeros(2))
-    part = EntityPartition(
-        ue=np.array([0]), hie=np.array([1]), target=np.array([[0.25, 0.75]]),
-        ue_train_rows=np.array([[2.0, -1.0]]),
-        positives=[np.array([2])], negatives=[np.array([3])],
-        memory=predict(params, x_after[[1]]))
+    memory = predict(params, x_after[[1]])
+    if zero_row is not None:
+        x_after[zero_row] = 0.0
+    part = _gather(ue=np.array([0]), hie=np.array([1]), target=np.array([[0.25, 0.75]]),
+                   memory=memory, positives=[np.array(positives, dtype=np.int64)],
+                   negatives=[np.array([3])], ue_rows=np.array([[2.0, -1.0]]),
+                   x_after=x_after)
     return part, params, x_after
 
 
 def toy_loss(lam, tau=0.5, l2_coef=5e-4):
-    part, params, x_after = toy_partition()
-    ws = gather_working_set(part, x_after)
-    return fused_loss(params, ws, lam=lam, tau=tau, l2_coef=l2_coef,
-                      buf=FinetuneBuffers(params, ws))
+    part, params, _ = toy_partition()
+    return fused_loss(params, part, lam=lam, tau=tau, l2_coef=l2_coef,
+                      buf=FinetuneBuffers(params, part))
 
 
 def test_target_loss_matches_direct_formula():
     part, params, _ = toy_partition()
     value = toy_loss(1.0)[2]["target"]
-    soft = predict(params, part.ue_train_rows)[0]
+    soft = predict(params, part.x[:part.ue.size])[0]
     t = np.array([0.25, 0.75])
     assert value == pytest.approx(np.sum(t * np.log(t / soft)), abs=1e-12)
 
@@ -310,12 +311,10 @@ def test_contrastive_symmetric_pair_gives_log_two():
 
 
 def test_contrastive_skips_anchor_without_positives():
-    part, params, x_after = toy_partition()
-    part.positives = [np.array([], dtype=np.int64)]
-    ws = gather_working_set(part, x_after)
-    assert ws.anchor.size == 0
-    parts = fused_loss(params, ws, lam=1.0, tau=0.5, l2_coef=5e-4,
-                       buf=FinetuneBuffers(params, ws))[2]
+    part, params, _ = toy_partition(positives=())
+    assert part.anchor.size == 0
+    parts = fused_loss(params, part, lam=1.0, tau=0.5, l2_coef=5e-4,
+                       buf=FinetuneBuffers(params, part))[2]
     assert parts["contrastive"] == 0.0
 
 
@@ -339,13 +338,12 @@ def test_reasoning_loss_zero_at_original_params():
 
 
 def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
-    part, _, x_after = toy_partition()
+    part, _, _ = toy_partition()
     part.memory = np.array([[1.0, 0.0]])
     # zero weights: current prediction is uniform over 2 classes
     zero = ModelParams(mode="linear", w_pre=np.zeros((2, 2)), b_pre=np.zeros(2))
-    ws = gather_working_set(part, x_after)
-    _, _, parts = fused_loss(zero, ws, lam=0.0, tau=0.5, l2_coef=0.0,
-                             buf=FinetuneBuffers(zero, ws))
+    _, _, parts = fused_loss(zero, part, lam=0.0, tau=0.5, l2_coef=0.0,
+                             buf=FinetuneBuffers(zero, part))
     assert parts["kl"] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -353,13 +351,12 @@ def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
 
 def test_every_loss_term_passes_fd_check_both_modes():
     for mode in ("linear", "mlp"):
-        part, _, x_after, _ = partition_fixture(seed=2, mode=mode)
+        part, _, _, _ = partition_fixture(seed=2, mode=mode)
         params = init_model(4, 6, 3, mode=mode, seed=3)
-        ws = gather_working_set(part, x_after)
         for lam in (0.0, 0.3, 1.0):
             err = grad_check(params,
-                             lambda p: fused_loss(p, ws, lam=lam, tau=0.5, l2_coef=5e-4,
-                                                  buf=FinetuneBuffers(p, ws))[:2],
+                             lambda p: fused_loss(p, part, lam=lam, tau=0.5, l2_coef=5e-4,
+                                                  buf=FinetuneBuffers(p, part))[:2],
                              seed=1, num_probes=20)
             assert err <= 1e-4, f"{mode}/lambda={lam}: rel err {err}"
 
@@ -367,25 +364,19 @@ def test_every_loss_term_passes_fd_check_both_modes():
 # ------------------------------------------------------------------- fused loss
 
 def test_fused_loss_matches_oracle_both_modes():
-    skipped, params, x_after = toy_partition()
-    skipped.positives = [np.array([], dtype=np.int64)]
-    cases = [toy_partition(), (skipped, params, x_after)]
-    for zero_row in (1, 2):
-        # a zero embedding (here: the anchor, then the positive) has no
-        # direction, so it must add nothing, not NaN, to the gradient
-        part, params, x_after = toy_partition()
-        x_after[zero_row] = 0.0
-        cases.append((part, params, x_after))
+    # a zero embedding (here: the anchor, then the positive) has no
+    # direction, so it must add nothing, not NaN, to the gradient
+    cases = [toy_partition(), toy_partition(positives=()),
+             toy_partition(zero_row=1), toy_partition(zero_row=2)]
     for mode in ("linear", "mlp"):
         part, trained, x_after, _ = partition_fixture(seed=2, mode=mode)
         cases += [(part, trained, x_after),
                   (part, init_model(4, 6, 3, mode=mode, seed=3), x_after)]
     for part, params, x_after in cases:
-        ws = gather_working_set(part, x_after)
         for lam in (0.0, 0.1, 1.0):
             v_ref, g_ref, parts_ref = loss_oracle(params, part, x_after, lam=lam)
-            value, grads, parts = fused_loss(params, ws, lam=lam, tau=0.5, l2_coef=5e-4,
-                                             buf=FinetuneBuffers(params, ws))
+            value, grads, parts = fused_loss(params, part, lam=lam, tau=0.5, l2_coef=5e-4,
+                                             buf=FinetuneBuffers(params, part))
             assert value == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
             assert set(parts) == set(parts_ref)
             for name, ref in parts_ref.items():
@@ -397,12 +388,11 @@ def test_fused_loss_matches_oracle_both_modes():
 
 
 def test_working_set_stacks_ue_cache_over_after_rows():
-    part, _, x_after, _ = partition_fixture(seed=1)
-    ws = gather_working_set(part, x_after)
-    assert np.array_equal(ws.x[:part.ue.size], part.ue_train_rows)
-    assert np.array_equal(ws.x[part.ue.size:], x_after[ws.rows])
-    assert np.array_equal(ws.x[ws.hie], x_after[part.hie])
-    assert not np.isin(ws.rows, part.ue).any()
+    part, _, x_after, x_before = partition_fixture(seed=1)
+    assert np.array_equal(part.x[:part.ue.size], x_before[part.ue])
+    assert np.array_equal(part.x[part.ue.size:], x_after[part.rows])
+    assert np.array_equal(part.x[part.hie_at], x_after[part.hie])
+    assert not np.isin(part.rows, part.ue).any()
 
 
 # ------------------------------------------------------------- lambda mixture
@@ -438,37 +428,37 @@ def test_mixed_loss_validates_lambda():
 # -------------------------------------------------------------------- finetune
 
 def test_finetune_validation_errors():
-    part, params, x_after, _ = partition_fixture(seed=1)
+    part, params, _, _ = partition_fixture(seed=1)
     with pytest.raises(ConfigError):
-        finetune(params, part, x_after, lr=-1.0, epochs=50, lam=0.5, tau=0.5, l2_coef=5e-4)
+        finetune(params, part, lr=-1.0, epochs=50, lam=0.5, tau=0.5, l2_coef=5e-4)
     with pytest.raises(ConfigError):
-        finetune(params, part, x_after, lr=0.01, epochs=-1, lam=0.5, tau=0.5, l2_coef=5e-4)
+        finetune(params, part, lr=0.01, epochs=-1, lam=0.5, tau=0.5, l2_coef=5e-4)
     with pytest.raises(ConfigError):
-        finetune(params, part, x_after, lr=0.01, epochs=50, lam=2.0, tau=0.5, l2_coef=5e-4)
+        finetune(params, part, lr=0.01, epochs=50, lam=2.0, tau=0.5, l2_coef=5e-4)
     with pytest.raises(ConfigError):
-        finetune(params, part, x_after, lr=0.01, epochs=50, lam=0.5, tau=0.0, l2_coef=5e-4)
+        finetune(params, part, lr=0.01, epochs=50, lam=0.5, tau=0.0, l2_coef=5e-4)
     with pytest.raises(ConfigError, match="l2_coef"):
-        finetune(params, part, x_after, lr=0.01, epochs=50, lam=0.5, tau=0.5, l2_coef=-1.0)
+        finetune(params, part, lr=0.01, epochs=50, lam=0.5, tau=0.5, l2_coef=-1.0)
 
 
 def test_finetune_zero_epochs_and_zero_lr():
-    part, params, x_after, _ = partition_fixture(seed=1)
-    out, log = finetune(params, part, x_after,
+    part, params, _, _ = partition_fixture(seed=1)
+    out, log = finetune(params, part,
                         lr=0.01, epochs=0, lam=0.5, tau=0.5, l2_coef=5e-4)
     assert log.epochs == []
     assert np.array_equal(out.w_pre, params.w_pre)
-    out2, log2 = finetune(params, part, x_after,
+    out2, log2 = finetune(params, part,
                           lr=0.0, epochs=3, lam=0.5, tau=0.5, l2_coef=5e-4)
     assert len(log2.epochs) == 3
     assert np.array_equal(out2.w_pre, params.w_pre)
 
 
 def test_finetune_deterministic_and_input_untouched():
-    part, params, x_after, _ = partition_fixture(seed=1)
+    part, params, _, _ = partition_fixture(seed=1)
     snap = params.copy()
-    a, la = finetune(params, part, x_after,
+    a, la = finetune(params, part,
                      lr=0.01, epochs=10, lam=0.5, tau=0.5, l2_coef=5e-4)
-    b, lb = finetune(params, part, x_after,
+    b, lb = finetune(params, part,
                      lr=0.01, epochs=10, lam=0.5, tau=0.5, l2_coef=5e-4)
     assert np.array_equal(params.w_pre, snap.w_pre)
     assert np.array_equal(a.w_pre, b.w_pre)
@@ -483,16 +473,17 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
         for lam in (0.0, 0.1, 0.5, 1.0):
             part, params, x_after, _ = partition_fixture(seed=1, mode=mode)
             if drop_positives:
-                part.positives[0] = part.positives[0][:0]
-            out, log = finetune(params, part, x_after,
+                part = _gather(part.ue, part.hie, part.target, part.memory,
+                               [part.positives[0][:0], *part.positives[1:]],
+                               part.negatives, part.x[:part.ue.size], x_after)
+            out, log = finetune(params, part,
                                 lr=0.01, epochs=8, lam=lam, tau=0.5, l2_coef=5e-4)
             ref = params.copy()
             oracle = TextbookAdam(ref, lr=0.01)
-            ws = gather_working_set(part, x_after)
-            assert ws.anchor.size == part.hie.size - drop_positives
+            assert part.anchor.size == part.hie.size - drop_positives
             for epoch, entry in enumerate(log.epochs):
-                value, grads, parts = fused_loss(ref, ws, lam=lam, tau=0.5, l2_coef=5e-4,
-                                                 buf=FinetuneBuffers(ref, ws))
+                value, grads, parts = fused_loss(ref, part, lam=lam, tau=0.5, l2_coef=5e-4,
+                                                 buf=FinetuneBuffers(ref, part))
                 assert entry == {"epoch": epoch, "total": value, **parts}
                 oracle.step(ref, grads)
             for (name, arr), (_, expect) in zip(out.items(), ref.items()):
@@ -500,8 +491,8 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
 
 
 def test_finetune_log_entries_have_all_components():
-    part, params, x_after, _ = partition_fixture(seed=1)
-    _, log = finetune(params, part, x_after,
+    part, params, _, _ = partition_fixture(seed=1)
+    _, log = finetune(params, part,
                       lr=0.01, epochs=2, lam=0.5, tau=0.5, l2_coef=5e-4)
     for i, entry in enumerate(log.epochs):
         assert entry["epoch"] == i
@@ -509,8 +500,8 @@ def test_finetune_log_entries_have_all_components():
 
 
 def test_finetune_reads_only_working_set_rows():
-    part, params, x_after, _ = partition_fixture(seed=1)
-    _, log = finetune(params, part, x_after,
+    part, params, _, _ = partition_fixture(seed=1)
+    _, log = finetune(params, part,
                       lr=0.01, epochs=4, lam=0.5, tau=0.5, l2_coef=5e-4)
     allowed = set(part.hie)
     for pos, neg in zip(part.positives, part.negatives):
@@ -524,8 +515,8 @@ def test_finetune_reads_only_working_set_rows():
 
 def test_finetune_first_epoch_reasoning_starts_at_weight_penalty():
     # at lam=0 from the original parameters the KL term opens at zero
-    part, params, x_after, _ = partition_fixture(seed=3)
-    _, log = finetune(params, part, x_after,
+    part, params, _, _ = partition_fixture(seed=3)
+    _, log = finetune(params, part,
                       lr=0.01, epochs=1, lam=0.0, tau=0.5, l2_coef=5e-4)
     entry = log.epochs[0]
     l2 = 5e-4 * sum(float(np.sum(a * a)) for _, a in params.items())
