@@ -20,7 +20,7 @@ spec = SbmSpec(n=600, classes=3, p_in=0.06, p_out=0.008, num_features=128,
                separation=1.5, train_fraction=0.8)
 graph = generate_sbm(spec, seed=1)
 
-cfg = RunConfig(k=1, scheme="s2gc", mode="mlp", hidden=64, epochs=600,
+cfg = RunConfig(k=1, scheme="s2gc", hidden=64, epochs=600,
                 weight_decay=0.0, lam=0.1, finetune_lr=0.001,
                 finetune_epochs=15, theta=0.5, budget_multiplier=3.0,
                 l2_coef=0.0)

@@ -14,7 +14,7 @@ spec = SbmSpec(n=2000, classes=4, p_in=0.008, p_out=0.0006, num_features=16,
 graph = generate_sbm(spec, seed=0)
 print(f"clean graph: {graph.n} nodes, {graph.num_edges} edges")
 
-cfg = RunConfig(k=2, scheme="s2gc", mode="mlp", hidden=64, epochs=200,
+cfg = RunConfig(k=2, scheme="s2gc", hidden=64, epochs=200,
                 lam=0.05, finetune_lr=0.0005, finetune_epochs=2,
                 theta=0.5, budget_multiplier=0.1)
 pipe = Pipeline(cfg, seed=0)

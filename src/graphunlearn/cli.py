@@ -181,8 +181,9 @@ def _merge_metrics(out: Path) -> list:
     Returns the merged lines, so report need not read the file back.
     """
     lines = []
-    seed_dirs = sorted((d for d in out.glob("seed_*") if d.is_dir()),
-                       key=lambda d: int(d.name.split("_")[1]))
+    seed_dirs = sorted((d for d in out.glob("seed_*")
+                        if re.fullmatch(r"seed_\d+", d.name) and d.is_dir()),
+                       key=lambda d: int(d.name[5:]))
     scopes = seed_dirs if seed_dirs else [out]
     for scope in scopes:
         for stage in STAGES:
@@ -272,8 +273,10 @@ def main(argv=None) -> int:
             _merge_metrics(out)
         else:
             _run_one(args.command, cfg, out, seed)
-    except (GraphUnlearnError, IndexError) as exc:
-        print(f"error={type(exc).__name__} {exc}", file=sys.stderr)
+    except (GraphUnlearnError, IndexError, MemoryError) as exc:
+        # numpy's failed allocations raise a private MemoryError subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error={name} {exc}", file=sys.stderr)
         return 1
     return 0
 

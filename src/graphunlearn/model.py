@@ -1,15 +1,14 @@
 """Learnable head over precomputed propagated features.
 
-Two modes share one parameter container:
-    linear  logits = X @ w_pre + b_pre; the embedding IS the logit vector.
-    mlp     hidden = relu(X @ w_emb + b_emb); logits = hidden @ w_pre + b_pre;
-            the embedding is the hidden layer.
+The head is a one-hidden-layer MLP:
+    hidden = relu(X @ w_emb + b_emb); logits = hidden @ w_pre + b_pre,
+and its embedding is the hidden layer.
 
 All arithmetic is float64 and all gradients are written out by hand, so
 training is bit-reproducible for a fixed seed.  Checkpoints are binary:
-magic "GUWT", one mode byte (0 linear, 1 mlp), the dims as 64-bit
-little-endian ints, then the tensors row-major as little-endian float64
-in declaration order.
+magic "GUWT", the mode byte 1, the dims (features, hidden, classes) as
+64-bit little-endian ints, then the tensors row-major as little-endian
+float64 in declaration order.
 """
 
 from __future__ import annotations
@@ -24,33 +23,26 @@ from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .fileio import read_bytes, write_bytes
 
 CHECKPOINT_MAGIC = b"GUWT"
-_MODE_BYTE = {"linear": 0, "mlp": 1}
-_BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
+_MODE_BYTE = 1      # the MLP head's byte; any other is rejected
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class ModelParams:
-    """Parameter container; w_emb/b_emb are None in linear mode."""
+    """The head's tensors: the embedding layer, then the output layer."""
 
-    mode: str
+    w_emb: np.ndarray
+    b_emb: np.ndarray
     w_pre: np.ndarray
     b_pre: np.ndarray
-    w_emb: np.ndarray | None = None
-    b_emb: np.ndarray | None = None
 
     def items(self):
-        """(name, array) pairs in declaration order for the active mode."""
-        if self.mode == "mlp":
-            return [("w_emb", self.w_emb), ("b_emb", self.b_emb),
-                    ("w_pre", self.w_pre), ("b_pre", self.b_pre)]
-        return [("w_pre", self.w_pre), ("b_pre", self.b_pre)]
+        """(name, array) pairs in declaration order."""
+        return [("w_emb", self.w_emb), ("b_emb", self.b_emb),
+                ("w_pre", self.w_pre), ("b_pre", self.b_pre)]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(mode=self.mode,
-                           w_pre=self.w_pre.copy(), b_pre=self.b_pre.copy(),
-                           w_emb=None if self.w_emb is None else self.w_emb.copy(),
-                           b_emb=None if self.b_emb is None else self.b_emb.copy())
+        return ModelParams(*(arr.copy() for _, arr in self.items()))
 
     @property
     def num_classes(self) -> int:
@@ -58,30 +50,23 @@ class ModelParams:
 
     @property
     def num_inputs(self) -> int:
-        return int(self.w_emb.shape[0] if self.mode == "mlp" else self.w_pre.shape[0])
+        return int(self.w_emb.shape[0])
 
 
 def init_model(num_features: int, hidden: int, num_classes: int,
-               mode: str, seed: int) -> ModelParams:
+               seed: int) -> ModelParams:
     """Uniform init scaled by 1/sqrt(fan_in), deterministic in the seed."""
-    if mode not in _MODE_BYTE:
-        raise ConfigError(f"unknown model mode {mode!r}")
     if num_features < 1 or num_classes < 1:
         raise ConfigError("feature and class counts must be at least 1")
+    if hidden < 1:
+        raise ConfigError("hidden width must be at least 1")
     rng = np.random.default_rng(seed)
 
     def uniform(fan_in, shape):
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    if mode == "linear":
-        return ModelParams(mode="linear",
-                           w_pre=uniform(num_features, (num_features, num_classes)),
-                           b_pre=uniform(num_features, (num_classes,)))
-    if hidden < 1:
-        raise ConfigError("hidden width must be at least 1 in mlp mode")
-    return ModelParams(mode="mlp",
-                       w_emb=uniform(num_features, (num_features, hidden)),
+    return ModelParams(w_emb=uniform(num_features, (num_features, hidden)),
                        b_emb=uniform(num_features, (hidden,)),
                        w_pre=uniform(hidden, (hidden, num_classes)),
                        b_pre=uniform(hidden, (num_classes,)))
@@ -98,15 +83,14 @@ class StepBuffers:
     """
 
     def __init__(self, params: ModelParams, rows: int):
-        width = params.b_emb.shape[0] if params.mode == "mlp" else params.num_classes
+        width = params.b_emb.shape[0]
         self.logits = np.empty((rows, params.num_classes))
         self.row = np.empty((rows, 1))          # softmax row maxima, then row sums
         self.demb = np.empty((rows, width))     # gradient at the embedding, then at z1
         self.grads = {name: np.empty(arr.shape) for name, arr in params.items()}
-        if params.mode == "mlp":
-            self.z1 = np.empty((rows, width))
-            self.emb = np.empty((rows, width))
-            self.active = np.empty((rows, width), dtype=bool)
+        self.z1 = np.empty((rows, width))
+        self.emb = np.empty((rows, width))
+        self.active = np.empty((rows, width), dtype=bool)
 
 
 def softmax(z: np.ndarray, out: np.ndarray | None = None,
@@ -124,8 +108,8 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None,
 def forward_cache(params: ModelParams, x: np.ndarray, buf: StepBuffers | None = None):
     """One forward pass keeping what the backward pass needs.
 
-    Returns (z1, emb, logits): z1 is the hidden pre-activation (None in
-    linear mode), emb the embedding and logits the pre-softmax scores.
+    Returns (z1, emb, logits): z1 is the hidden pre-activation, emb the
+    embedding and logits the pre-softmax scores.
     They are written into buf, or into fresh StepBuffers when buf is None.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -134,10 +118,6 @@ def forward_cache(params: ModelParams, x: np.ndarray, buf: StepBuffers | None = 
     if buf is None:
         buf = StepBuffers(params, x.shape[0])
     z = buf.logits
-    if params.mode == "linear":
-        np.matmul(x, params.w_pre, out=z)
-        z += params.b_pre
-        return None, z, z
     z1 = np.matmul(x, params.w_emb, out=buf.z1)
     z1 += params.b_emb
     emb = np.maximum(z1, 0.0, out=buf.emb)
@@ -162,11 +142,6 @@ def backprop_cached(params: ModelParams, x: np.ndarray, z1, emb: np.ndarray,
     """
     x = np.atleast_2d(x)
     grads = buf.grads
-    if params.mode == "linear":
-        total = dlogits if demb is None else np.add(dlogits, demb, out=buf.demb)
-        np.matmul(x.T, total, out=grads["w_pre"])
-        np.sum(total, axis=0, out=grads["b_pre"])
-        return grads
     np.matmul(emb.T, dlogits, out=grads["w_pre"])
     np.sum(dlogits, axis=0, out=grads["b_pre"])
     dz1 = np.matmul(dlogits, params.w_pre.T, out=buf.demb)
@@ -275,12 +250,8 @@ def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Serialize params: GUWT magic, mode byte, dims, tensors in order."""
-    if params.mode == "mlp":
-        dims = (params.w_emb.shape[0], params.w_emb.shape[1], params.num_classes)
-    else:
-        dims = (params.w_pre.shape[0], params.num_classes)
-    blob = [CHECKPOINT_MAGIC, bytes([_MODE_BYTE[params.mode]]),
-            struct.pack(f"<{len(dims)}Q", *dims)]
+    blob = [CHECKPOINT_MAGIC, bytes([_MODE_BYTE]),
+            struct.pack("<3Q", *params.w_emb.shape, params.num_classes)]
     blob += [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in params.items()]
     write_bytes(path, b"".join(blob))
 
@@ -289,20 +260,13 @@ def load_checkpoint(path) -> ModelParams:
     raw = read_bytes(path)
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    if len(raw) < 5 or raw[4] not in _BYTE_MODE:
+    if len(raw) < 5 or raw[4] != _MODE_BYTE:
         raise CheckpointError(f"{path}: unknown mode byte")
-    mode = _BYTE_MODE[raw[4]]
-    ndims = 3 if mode == "mlp" else 2
-    header_end = 5 + 8 * ndims
+    header_end = 5 + 8 * 3
     if len(raw) < header_end:
         raise CheckpointError(f"{path}: truncated header")
-    dims = struct.unpack(f"<{ndims}Q", raw[5:header_end])
-    if mode == "mlp":
-        f, h, c = dims
-        shapes = [("w_emb", (f, h)), ("b_emb", (h,)), ("w_pre", (h, c)), ("b_pre", (c,))]
-    else:
-        f, c = dims
-        shapes = [("w_pre", (f, c)), ("b_pre", (c,))]
+    f, h, c = struct.unpack("<3Q", raw[5:header_end])
+    shapes = [("w_emb", (f, h)), ("b_emb", (h,)), ("w_pre", (h, c)), ("b_pre", (c,))]
     # exact ints: np.prod wraps in int64, so a huge header could pass this check
     expect = header_end + 8 * sum(math.prod(s) for _, s in shapes)
     if len(raw) != expect:
@@ -314,4 +278,4 @@ def load_checkpoint(path) -> ModelParams:
         arrays[name] = np.frombuffer(raw, dtype="<f8", offset=offset,
                                      count=count).reshape(shape).astype(np.float64)
         offset += 8 * count
-    return ModelParams(mode=mode, **arrays)
+    return ModelParams(**arrays)

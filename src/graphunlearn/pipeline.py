@@ -35,9 +35,7 @@ def _fits(kind: str, value) -> bool:
     """
     if kind == "tuple":
         return isinstance(value, (list, tuple)) and all(_fits("float", v) for v in value)
-    if kind == "Optional[int]" and value is None:
-        return True
-    types = {"str": str, "int": int, "Optional[int]": int, "float": (int, float)}[kind]
+    types = {"str": str, "int": int, "float": (int, float)}[kind]
     if not isinstance(value, types) or isinstance(value, bool):
         return False
     try:
@@ -51,7 +49,7 @@ class RunConfig:
     """Flat run configuration; JSON files use dotted keys per field.
 
     A JSON config is one object whose keys are "<section>.<name>", e.g.
-    {"propagation.k": 4, "model.mode": "linear", "nim.theta": 0.6}.
+    {"propagation.k": 4, "model.hidden": 32, "nim.theta": 0.6}.
     Every construction, dataclasses.replace included, runs validate.
     """
 
@@ -76,16 +74,14 @@ class RunConfig:
     k: int = 3
     r: float = 0.5
     beta: float = 0.5
-    weights: tuple = ()
     # model / training
-    mode: str = "mlp"
+    mode: str = "mlp"       # the only head; the key stays for configs that name it
     hidden: int = 64
     lr: float = 0.01
     weight_decay: float = 5e-4
     epochs: int = 200
     # hie selection
     theta: float = 0.5
-    budget: Optional[int] = None
     budget_multiplier: float = 3.0
     selection_mode: str = "expanding"
     method: str = "influence"
@@ -115,11 +111,10 @@ class RunConfig:
         "datagen.ue_fraction": "gen_ue_fraction",
         "propagation.scheme": "scheme", "propagation.k": "k",
         "propagation.r": "r", "propagation.beta": "beta",
-        "propagation.weights": "weights",
         "model.mode": "mode", "model.hidden": "hidden",
         "train.lr": "lr", "train.weight_decay": "weight_decay",
         "train.epochs": "epochs",
-        "nim.theta": "theta", "nim.budget": "budget",
+        "nim.theta": "theta",
         "nim.budget_multiplier": "budget_multiplier",
         "nim.mode": "selection_mode", "nim.method": "method",
         "nim.khop": "khop",
@@ -137,8 +132,7 @@ class RunConfig:
 
         int fields take integers (not booleans), float fields any finite
         number, and list fields lists of finite numbers; eval.rho also
-        takes one number.  Scheme "custom" without propagation.k takes
-        k from its weights.
+        takes one number.
         """
         kinds = {f.name: f.type for f in dc_fields(cls)}
         kwargs = {}
@@ -150,14 +144,11 @@ class RunConfig:
                 value = [value]
             if not _fits(kinds[name], value):
                 expected = {"str": "a string", "int": "an int", "float": "a finite number",
-                            "Optional[int]": "an int or null",
                             "tuple": "a list of finite numbers"}[kinds[name]]
                 raise ConfigError(f"{key} must be {expected}, got {value!r}")
             if kinds[name] == "tuple":
                 value = tuple(float(v) for v in value)
             kwargs[name] = value
-        if kwargs.get("scheme") == "custom" and "k" not in kwargs:
-            kwargs["k"] = len(kwargs.get("weights", ())) - 1
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -175,33 +166,25 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the first dotted key whose value is out of range."""
-        if self.scheme not in ("sgc", "s2gc", "gbp", "custom"):
-            raise ConfigError("propagation.scheme must be 'sgc', 's2gc', 'gbp' or 'custom', "
+        if self.scheme not in ("sgc", "s2gc", "gbp"):
+            raise ConfigError("propagation.scheme must be 'sgc', 's2gc' or 'gbp', "
                               f"got {self.scheme!r}")
         if not 0.0 <= self.r <= 1.0:
             raise ConfigError(f"propagation.r must lie in [0, 1], got {self.r}")
         if self.scheme == "gbp" and not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"propagation.beta must lie in (0, 1] under gbp, got {self.beta}")
-        if self.scheme == "custom" and self.k != len(self.weights) - 1:
-            raise ConfigError(f"propagation.k must be {len(self.weights) - 1} for "
-                              f"{len(self.weights)} propagation.weights, got {self.k}")
-        if self.scheme != "custom" and self.weights:
-            raise ConfigError("propagation.weights are read only by scheme 'custom', "
-                              f"not {self.scheme!r}")
         if not 0.0 < self.gen_ue_fraction <= 1.0:
             raise ConfigError("datagen.ue_fraction must lie in (0, 1], "
                               f"got {self.gen_ue_fraction}")
-        if self.mode not in ("linear", "mlp"):
-            raise ConfigError(f"model.mode must be 'linear' or 'mlp', got {self.mode!r}")
-        if self.mode == "mlp" and self.hidden < 1:
-            raise ConfigError(f"model.hidden must be at least 1 in mlp mode, got {self.hidden}")
+        if self.mode != "mlp":
+            raise ConfigError(f"model.mode must be 'mlp', got {self.mode!r}")
+        if self.hidden < 1:
+            raise ConfigError(f"model.hidden must be at least 1, got {self.hidden}")
         if self.selection_mode not in SELECTION_MODES:
             raise ConfigError(f"nim.mode must be one of {SELECTION_MODES}, "
                               f"got {self.selection_mode!r}")
         if self.method not in ("influence", "khop"):
             raise ConfigError(f"nim.method must be 'influence' or 'khop', got {self.method!r}")
-        if self.budget is not None and self.budget < 0:
-            raise ConfigError("nim.budget must be nonnegative")
         for key, value in (("propagation.k", self.k), ("train.lr", self.lr),
                            ("train.weight_decay", self.weight_decay),
                            ("train.epochs", self.epochs), ("unlearn.lr", self.finetune_lr),
@@ -219,6 +202,8 @@ class RunConfig:
             raise ConfigError(f"unlearn.tau must be positive, got {self.tau}")
         if self.attack not in ("mia", "edge"):
             raise ConfigError(f"eval.attack must be 'mia' or 'edge', got {self.attack!r}")
+        if not self.rho:
+            raise ConfigError("eval.rho must hold at least one entry")
         for rho in self.rho:
             if not 0.0 < rho <= 1.0:
                 raise ConfigError(f"eval.rho entries must lie in (0, 1], got {rho}")
@@ -229,13 +214,9 @@ class RunConfig:
             return PropagationConfig.sgc(self.k)
         if self.scheme == "s2gc":
             return PropagationConfig.s2gc(self.k)
-        if self.scheme == "gbp":
-            return PropagationConfig.gbp(self.k, self.beta)
-        return PropagationConfig(weights=self.weights)
+        return PropagationConfig.gbp(self.k, self.beta)
 
     def budget_for(self, num_ue: int) -> int:
-        if self.budget is not None:
-            return int(self.budget)
         return int(round(self.budget_multiplier * num_ue))
 
 
@@ -278,8 +259,7 @@ def loaded_state(graph: Graph, cfg: RunConfig, params: ModelParams) -> PipelineS
 def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
     """Propagate once, then fit the head on the training nodes."""
     op, x_tilde = propagate_graph(graph, cfg)
-    fresh = init_model(graph.num_features, cfg.hidden, graph.num_classes,
-                       mode=cfg.mode, seed=seed)
+    fresh = init_model(graph.num_features, cfg.hidden, graph.num_classes, seed=seed)
     params, history = train(fresh, x_tilde, graph.labels, graph.train_mask,
                             lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs)
     return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params,

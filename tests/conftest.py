@@ -14,6 +14,7 @@ from graphunlearn.graph import (Graph, PropagationConfig, SparseOperator, build_
                                 propagation_column)
 from graphunlearn.influence import (SELECTION_MODES, HieSelection, _check_soft_labels,
                                     _safe_ratio)
+from graphunlearn.model import ModelParams
 
 
 def generate_sbm_materialized(spec: SbmSpec, seed: int) -> Graph:
@@ -64,6 +65,16 @@ def make_graph(n, edges, *, features=None, labels=None,
     if test is None:
         test = ~np.asarray(train, dtype=bool)
     return build_graph(n, edges, features, labels, train, test)
+
+
+def identity_head(w_pre):
+    """An MLP head whose hidden layer passes a nonnegative row through
+    unchanged (w_emb = I, b_emb = 0, b_pre = 0): on such rows the
+    embedding is the row and the logits are row @ w_pre."""
+    w_pre = np.asarray(w_pre, dtype=np.float64)
+    f = w_pre.shape[0]
+    return ModelParams(w_emb=np.eye(f), b_emb=np.zeros(f), w_pre=w_pre,
+                       b_pre=np.zeros(w_pre.shape[1]))
 
 
 @pytest.fixture
@@ -240,7 +251,7 @@ def select_hie_per_column(op: SparseOperator, config: PropagationConfig, ue,
                         scores=np.asarray(picked_scores, dtype=np.float64))
 
 
-def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
+def _objective(theta, part, x_after, lam, tau, l2_coef):
     """Fine-tune objective and its four parts, entity by entity.
 
     Follows the formulas of the unlearn module docstring with plain
@@ -249,15 +260,11 @@ def _objective(mode, theta, part, x_after, lam, tau, l2_coef):
     the same branch as the real evaluation.
     """
     def embed(x):
-        if mode == "linear":
-            return x @ theta["w_pre"] + theta["b_pre"]
         z1 = x @ theta["w_emb"] + theta["b_emb"]
         return np.where(z1.real > 0.0, z1, 0.0)
 
     def prob(x):
-        z = embed(x)
-        if mode == "mlp":
-            z = z @ theta["w_pre"] + theta["b_pre"]
+        z = embed(x) @ theta["w_pre"] + theta["b_pre"]
         e = np.exp(z - z.real.max())
         return e / e.sum()
 
@@ -314,14 +321,14 @@ def loss_oracle(params, part, x_after, lam, tau=0.5, l2_coef=5e-4, step=1e-30):
     hand.  A term whose weight is zero reports 0.
     """
     theta = {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()}
-    value, parts = _objective(params.mode, theta, part, x_after, lam, tau, l2_coef)
+    value, parts = _objective(theta, part, x_after, lam, tau, l2_coef)
     grads = {}
     for name, arr in theta.items():
         grads[name] = np.zeros(arr.shape)
         for idx in np.ndindex(arr.shape):
             probe = {key: val.astype(np.complex128) for key, val in theta.items()}
             probe[name][idx] += 1j * step
-            grads[name][idx] = _objective(params.mode, probe, part, x_after,
+            grads[name][idx] = _objective(probe, part, x_after,
                                           lam, tau, l2_coef)[0].imag / step
     return float(value), grads, {key: float(val) for key, val in parts.items()}
 
@@ -406,8 +413,10 @@ def edge_list_oracle(path):
 
 
 def labels_oracle(path, n):
-    """Line-by-line reference for fileio.read_labels (a repeated node: last wins)."""
+    """Line-by-line reference for fileio.read_labels: a node outside
+    [0, n), a class outside [-1, n) or a node listed twice rejects its line."""
     labels = np.full(n, -1, dtype=np.int64)
+    seen = set()
     for i, line in enumerate(_nonblank_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -416,8 +425,9 @@ def labels_oracle(path, n):
             node, cls = int(parts[0]), int(parts[1])
         except ValueError:
             raise ReadReject("DataError", i) from None
-        if not 0 <= node < n:
+        if not 0 <= node < n or not -1 <= cls < n or node in seen:
             raise ReadReject("DataError", i)
+        seen.add(node)
         labels[node] = cls
     return labels
 

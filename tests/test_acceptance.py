@@ -106,7 +106,7 @@ def test_01_influence_matches_walk_enumeration():
 # ------------------------------------------------------------------ 02
 
 
-def _training_setup(mode: str, seed: int = 0):
+def _training_setup(seed: int = 0):
     rng = np.random.default_rng(seed)
     n, classes = 24, 3
     edges = [(i, (i + 1) % n) for i in range(n)]
@@ -121,7 +121,7 @@ def _training_setup(mode: str, seed: int = 0):
     config = PropagationConfig.s2gc(2)
     op = normalized_adjacency(graph, r=0.5)
     x = propagate(op, graph.features, config)
-    params = init_model(4, 6, classes, mode=mode, seed=seed)
+    params = init_model(4, 6, classes, seed=seed)
     params, _ = train(params, x, graph.labels, graph.train_mask,
                       lr=0.01, weight_decay=5e-4, epochs=40)
     return graph, config, x, params
@@ -130,24 +130,23 @@ def _training_setup(mode: str, seed: int = 0):
 def test_02_gradients_match_finite_differences():
     t0 = time.perf_counter()
     worst = {}
-    for mode in ("linear", "mlp"):
-        graph, config, x, params = _training_setup(mode)
-        soft = predict(params, x)
-        ue, hie = np.array([0, 3]), np.array([1, 2, 4])
-        request = UnlearnRequest(kind="node", nodes=(0, 3))
-        after = apply_removal(graph, request)
-        x_after = propagate(normalized_adjacency(after, 0.5), after.features, config)
-        part = prepare_partition(after, x_after, ue, hie, soft, params, x_before=x,
-                                 positives_per_anchor=5, negatives_per_anchor=5, seed=0)
-        rows = graph.train_mask
-        losses = {"ce": lambda p: cross_entropy(p, x[rows], graph.labels[rows],
-                                                StepBuffers(p, int(rows.sum())))}
-        for lam in (0.0, 0.3, 1.0):
-            losses[f"fused/lambda={lam}"] = \
-                lambda p, lam=lam: fused_loss(p, part, lam=lam, tau=0.5, l2_coef=5e-4,
-                                              buf=FinetuneBuffers(p, part))[:2]
-        for name, fn in losses.items():
-            worst[f"{mode}/{name}"] = grad_check(params, fn, seed=7, num_probes=20)
+    graph, config, x, params = _training_setup()
+    soft = predict(params, x)
+    ue, hie = np.array([0, 3]), np.array([1, 2, 4])
+    request = UnlearnRequest(kind="node", nodes=(0, 3))
+    after = apply_removal(graph, request)
+    x_after = propagate(normalized_adjacency(after, 0.5), after.features, config)
+    part = prepare_partition(after, x_after, ue, hie, soft, params, x_before=x,
+                             positives_per_anchor=5, negatives_per_anchor=5, seed=0)
+    rows = graph.train_mask
+    losses = {"ce": lambda p: cross_entropy(p, x[rows], graph.labels[rows],
+                                            StepBuffers(p, int(rows.sum())))}
+    for lam in (0.0, 0.3, 1.0):
+        losses[f"fused/lambda={lam}"] = \
+            lambda p, lam=lam: fused_loss(p, part, lam=lam, tau=0.5, l2_coef=5e-4,
+                                          buf=FinetuneBuffers(p, part))[:2]
+    for name, fn in losses.items():
+        worst[name] = grad_check(params, fn, seed=7, num_probes=20)
     dt = time.perf_counter() - t0
     peak = max(worst.values())
     ok = peak <= 1e-4 and dt < 60.0

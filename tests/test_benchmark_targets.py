@@ -1,7 +1,8 @@
 """The benchmark's traced pass wraps library functions by name and reads
 counters off their results; a renamed function or field would read as a
-silent 0 there, so this checks the names from the library's side.
-perfbench/layers.py is imported as it is, never changed."""
+silent 0 there, so this checks the names from the library's side.  The
+benchmark's pinned configs must also still build.  perfbench/layers.py
+and perfbench/workloads.py are imported as they are, never changed."""
 
 import importlib.util
 from pathlib import Path
@@ -12,6 +13,7 @@ import graphunlearn
 import graphunlearn.cli  # noqa: F401  (layers.targets reads every module off the package)
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.model import init_model, predict
+from graphunlearn.pipeline import RunConfig
 from graphunlearn.unlearn import UnlearnRequest, apply_removal, finetune, prepare_partition
 
 from conftest import make_graph
@@ -23,11 +25,28 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DROPPED = {"label_shuffle_loss", "prototype_loss", "contrastive_loss", "reasoning_loss"}
 
 
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_build_and_match_acceptance():
+    workloads = _load_perfbench("workloads")
+    RunConfig(**workloads.MIA_CONFIG)
+    RunConfig(**workloads.EDGE_CONFIG)
+    RunConfig.from_dict(workloads.CLI_CONFIG)
+
+    import test_acceptance
+    for name in ("MIA_SPEC", "MIA_CONFIG", "EDGE_SPEC", "EDGE_CONFIG", "EDGE_RHOS",
+                 "CLI_CONFIG"):
+        assert getattr(test_acceptance, name) == getattr(workloads, name), name
+
+
 def test_benchmark_targets_and_partition_counters_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # layers imports spans by bare name
-    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load_perfbench("layers")
 
     rows = layers.targets(graphunlearn)
     missing = {fn for home, fn, _, _ in rows if not callable(getattr(home, fn, None))}
@@ -39,7 +58,7 @@ def test_benchmark_targets_and_partition_counters_resolve(monkeypatch):
                    train=train, test=~train)
     cfg = PropagationConfig.s2gc(1)
     x = propagate(normalized_adjacency(g, 0.5), g.features, cfg)
-    params = init_model(3, 4, 2, mode="linear", seed=0)
+    params = init_model(3, 4, 2, seed=0)
     after = apply_removal(g, UnlearnRequest(kind="node", nodes=(0, 3)))
     x_after = propagate(normalized_adjacency(after, 0.5), after.features, cfg)
     part = prepare_partition(after, x_after, [0, 3], [1, 2, 4], predict(params, x),

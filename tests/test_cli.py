@@ -22,7 +22,7 @@ BASE_CONFIG = {
     "datagen.n": 160, "datagen.classes": 3, "datagen.p_in": 0.08,
     "datagen.p_out": 0.02, "datagen.features": 8,
     "propagation.k": 1, "propagation.scheme": "s2gc",
-    "model.mode": "linear", "train.epochs": 30,
+    "train.epochs": 30,
     "nim.theta": 0.0, "nim.budget_multiplier": 1.0,
     "unlearn.epochs": 5, "unlearn.lambda": 0.5,
     "seed": 0,
@@ -191,6 +191,17 @@ def test_seeds_fan_out(tmp_path):
     assert [r["seed"] for r in merged] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
+def test_seed_dirs_other_than_seed_digits_are_not_merged(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    (out / "seed_old").mkdir(parents=True)
+    assert run("gen", cfg, out, seeds="0..1") == 0
+    assert run("train", cfg, out, seeds="0..1") == 0
+    assert run("report", cfg, out) == 0
+    merged = read_metrics(out / "metrics.jsonl")
+    assert [r["seed"] for r in merged] == [0, 0, 0, 1, 1, 1]
+
+
 def test_full_chain_is_byte_reproducible(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -204,11 +215,15 @@ def test_full_chain_is_byte_reproducible(tmp_path):
 
 
 def test_unknown_config_key_fails_with_error_line(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"nim.thetaa": 0.4})
-    assert run("gen", cfg, tmp_path / "run") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error=ConfigError")
-    assert "nim.thetaa" in err
+    # a misspelt key, and the two retired ones: nim.budget_multiplier sets
+    # the budget, and the propagation weights follow from the scheme
+    for key, value in (("nim.thetaa", 0.4), ("nim.budget", 5),
+                       ("propagation.weights", [0.5, 0.5])):
+        cfg = write_config(tmp_path, {key: value})
+        assert run("gen", cfg, tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error=ConfigError unknown config key {key!r}")
+        assert err.count("\n") == 1
 
 
 def test_negative_khop_is_rejected_with_error_line(tmp_path, capsys):
@@ -224,23 +239,7 @@ def test_negative_khop_is_rejected_with_error_line(tmp_path, capsys):
     assert "nim.khop" in err and err.count("\n") == 1
 
 
-def test_custom_weights_without_k_record_the_steps_they_run(tmp_path):
-    doc = {key: v for key, v in BASE_CONFIG.items() if key != "propagation.k"}
-    doc.update({"propagation.scheme": "custom", "propagation.weights": [0.5, 0.5]})
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc), encoding="utf-8")
-    out = tmp_path / "run"
-    assert run("gen", str(cfg), out) == 0
-    assert run("train", str(cfg), out) == 0
-    resolved = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
-    assert resolved["propagation.k"] == 1
-
-
 @pytest.mark.parametrize("overrides, key", [
-    ({"propagation.scheme": "custom", "propagation.weights": [0.5, 0.5],
-      "propagation.k": 3}, "propagation.k"),
-    ({"propagation.weights": [0.5, 0.5]}, "propagation.weights"),
-    ({"propagation.scheme": "gbp", "propagation.weights": [1.0]}, "propagation.weights"),
     ({"unlearn.positives": -1}, "unlearn.positives"),
     ({"unlearn.negatives": -1}, "unlearn.negatives"),
     ({"datagen.ue_fraction": 2.0}, "datagen.ue_fraction"),
@@ -259,18 +258,22 @@ def test_custom_weights_without_k_record_the_steps_they_run(tmp_path):
     ({"propagation.r": 1.5}, "propagation.r"),
     ({"propagation.r": -0.5}, "propagation.r"),
     ({"propagation.scheme": "appnp"}, "propagation.scheme"),
+    ({"propagation.scheme": "custom"}, "propagation.scheme"),
     ({"propagation.scheme": "gbp", "propagation.beta": 0.0}, "propagation.beta"),
     ({"model.mode": "gcn"}, "model.mode"),
+    ({"model.mode": "linear"}, "model.mode"),
     ({"model.mode": "mlp", "model.hidden": 0}, "model.hidden"),
     ({"nim.theta": -0.1}, "nim.theta"),
     ({"nim.mode": "greedy"}, "nim.mode"),
-], ids=["custom-k-disagrees", "weights-with-s2gc", "weights-with-gbp", "negative-positives",
+    ({"eval.attack": "edge", "eval.rho": []}, "eval.rho"),
+], ids=["negative-positives",
         "negative-negatives", "ue-fraction-2", "ue-fraction-neg", "ue-fraction-0",
         "negative-k", "negative-train-lr", "negative-weight-decay", "negative-train-epochs",
         "negative-unlearn-lr", "negative-unlearn-epochs", "lambda-above-1",
         "lambda-below-0", "tau-0", "negative-l2-coef", "r-above-1", "r-below-0",
-        "unknown-scheme", "gbp-beta-0", "unknown-model-mode", "mlp-hidden-0",
-        "negative-theta", "unknown-nim-mode"])
+        "unknown-scheme", "custom-scheme", "gbp-beta-0", "unknown-model-mode",
+        "linear-model-mode", "mlp-hidden-0", "negative-theta", "unknown-nim-mode",
+        "empty-rho"])
 def test_out_of_range_config_value_fails_with_error_line(tmp_path, capsys, overrides, key):
     out = tmp_path / "run"
     assert run("gen", write_config(tmp_path, overrides), out) == 1
@@ -301,12 +304,15 @@ def test_negative_seed_fails_with_error_line(tmp_path, capsys):
     assert not (out / "edges.tsv").exists()
 
 
+# nim.budget and propagation.weights are retired keys: whatever their
+# value, they fail as unknown keys, which name the key just the same
 @pytest.mark.parametrize("key, value", [("propagation.k", "two"), ("nim.budget", "5"),
                                         ("propagation.weights", 3), ("eval.rho", "x"),
                                         # json.loads takes NaN and Infinity
                                         ("train.lr", float("nan")),
                                         ("unlearn.tau", float("inf")),
-                                        ("propagation.weights", [1.0, float("-inf")])])
+                                        ("propagation.weights", [1.0, float("-inf")]),
+                                        ("eval.rho", [0.2, float("-inf")])])
 def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     assert run("gen", write_config(tmp_path), out) == 0
@@ -316,6 +322,18 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     err = capsys.readouterr().err
     assert err.startswith("error=ConfigError")
     assert key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stage, key", [("gen", "datagen.features"), ("train", "model.hidden")])
+def test_allocation_beyond_address_space_fails_with_error_line(tmp_path, capsys, stage, key):
+    # 10**15 float64 columns need petabytes, past any 2**47-byte address
+    # space, so the allocation fails whatever the overcommit setting
+    out = tmp_path / "run"
+    assert run("gen", write_config(tmp_path), out) == 0
+    capsys.readouterr()
+    assert run(stage, write_config(tmp_path, {key: 10 ** 15}, name="big.json"), out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=MemoryError ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name,data", [

@@ -10,12 +10,11 @@ from graphunlearn.evaluate import (EdgeAttackReport, auc, edge_attack_run,
                                    f1_score, mia_attack,
                                    posterior_attack_scores,
                                    sample_noise_edges)
-from graphunlearn.model import ModelParams
 from graphunlearn.pipeline import Pipeline, RunConfig
 from graphunlearn.unlearn import UnlearnRequest, apply_removal
 from graphunlearn.datagen import SbmSpec, generate_sbm
 
-from conftest import make_graph
+from conftest import identity_head, make_graph
 
 
 # ------------------------------------------------------------------------- auc
@@ -133,15 +132,10 @@ def test_posterior_scores_formula():
 
 # ------------------------------------------------------------------ mia_attack
 
-def linear_model_with_columns(w):
-    w = np.asarray(w, dtype=np.float64)
-    return ModelParams(mode="linear", w_pre=w, b_pre=np.zeros(w.shape[1]))
-
-
 def test_mia_uniform_model_has_no_signal():
     # zero weights: posteriors identical everywhere -> all scores tie
-    params = linear_model_with_columns(np.zeros((2, 3)))
-    x = np.random.default_rng(2).standard_normal((40, 2))
+    params = identity_head(np.zeros((2, 3)))
+    x = np.abs(np.random.default_rng(2).standard_normal((40, 2)))
     rep = mia_attack(params, x, ue=np.arange(10), non_member_pool=np.arange(10, 40),
                      seed=0)
     assert rep.auc == pytest.approx(0.5)
@@ -152,14 +146,14 @@ def test_mia_perfectly_memorized_members_score_one():
     # members get huge logits (confident), non-members zero logits (uniform)
     x = np.zeros((20, 2))
     x[:10, 0] = 50.0
-    params = linear_model_with_columns(np.array([[1.0, -1.0], [0.0, 0.0]]))
+    params = identity_head(np.array([[1.0, -1.0], [0.0, 0.0]]))
     rep = mia_attack(params, x, ue=np.arange(10), non_member_pool=np.arange(10, 20),
                      seed=0)
     assert rep.auc == 1.0
 
 
 def test_mia_equal_sizes_and_pool_dedup():
-    params = linear_model_with_columns(np.zeros((2, 2)))
+    params = identity_head(np.zeros((2, 2)))
     x = np.zeros((30, 2))
     pool = np.concatenate([np.arange(30), np.arange(30)])  # dupes collapse
     rep = mia_attack(params, x, ue=[0, 1, 2], non_member_pool=pool, seed=1)
@@ -168,8 +162,8 @@ def test_mia_equal_sizes_and_pool_dedup():
 
 
 def test_mia_deterministic_in_seed():
-    params = linear_model_with_columns(np.random.default_rng(3).standard_normal((2, 2)))
-    x = np.random.default_rng(4).standard_normal((50, 2))
+    params = identity_head(np.random.default_rng(3).standard_normal((2, 2)))
+    x = np.abs(np.random.default_rng(4).standard_normal((50, 2)))
     a = mia_attack(params, x, np.arange(5), np.arange(5, 50), seed=9)
     b = mia_attack(params, x, np.arange(5), np.arange(5, 50), seed=9)
     assert a.auc == b.auc
@@ -177,7 +171,7 @@ def test_mia_deterministic_in_seed():
 
 
 def test_mia_pool_too_small_or_no_members():
-    params = linear_model_with_columns(np.zeros((2, 2)))
+    params = identity_head(np.zeros((2, 2)))
     x = np.zeros((10, 2))
     with pytest.raises(ConfigError):
         mia_attack(params, x, np.arange(6), np.arange(6, 10), seed=0)
@@ -229,7 +223,7 @@ def test_sample_noise_edges_gives_up_when_saturated():
 # -------------------------------------------------------------- edge attack run
 
 def tiny_pipeline():
-    cfg = RunConfig(mode="linear", epochs=30, k=1, scheme="s2gc",
+    cfg = RunConfig(epochs=30, k=1, scheme="s2gc",
                     finetune_epochs=5, lam=0.5, theta=0.0,
                     budget_multiplier=1.0)
     return Pipeline(cfg, seed=0)
@@ -296,7 +290,7 @@ def test_edge_attack_names_first_surviving_injected_edge():
 # --------------------------------------------------------------------- reports
 
 def test_attack_report_to_dict_round_trips_json():
-    params = linear_model_with_columns(np.zeros((2, 2)))
+    params = identity_head(np.zeros((2, 2)))
     x = np.zeros((10, 2))
     rep = mia_attack(params, x, [0, 1], np.arange(2, 10), seed=0)
     data = json.loads(json.dumps(rep.to_dict(), sort_keys=True))

@@ -150,7 +150,8 @@ def _spell(rng, value):
 
 _FAULTS = {
     "edges": ["1\t2\t3", "1 2", "1.5\t2", "x\t2", "3"],
-    "labels": ["1\t2\t3", "1 2", "1\t0.5", "a\t1", "{n}\t0", "-1\t0"],
+    "labels": ["1\t2\t3", "1 2", "1\t0.5", "a\t1", "{n}\t0", "-1\t0", "0\t-2", "0\t{n}",
+               "{last}\t0\n{last}\t1"],  # the last: node n-1 labeled twice
     "mask": ["1 2", "1\t2", "1.5", "x", "{n}", "-1"],
 }
 
@@ -176,7 +177,7 @@ def _random_table(rng, fmt, n):
         if rng.random() < 0.25:
             lines.append(str(rng.choice(["", "   ", " \t "])))
     if rng.random() < 0.5:
-        fault = str(rng.choice(_FAULTS[fmt])).format(n=n)
+        fault = str(rng.choice(_FAULTS[fmt])).format(n=n, last=n - 1)
         lines.insert(int(rng.integers(0, len(lines) + 1)), fault)
     end = str(rng.choice(["\n", "\r\n"]))
     return end.join(lines) + (end if rng.random() < 0.5 else "")

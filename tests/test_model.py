@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from graphunlearn.model import (Adam, ModelParams, StepBuffers,
                                 init_model, load_checkpoint,
                                 predict, save_checkpoint, softmax, train)
 
-from conftest import TextbookAdam, grad_check
+from conftest import TextbookAdam, grad_check, identity_head
 
 
 def embed(params, x):
@@ -19,25 +21,19 @@ def logits(params, x):
     return forward_cache(params, x)[2]
 
 
-def small_model(mode="mlp", seed=0):
-    return init_model(num_features=4, hidden=8, num_classes=3, mode=mode, seed=seed)
+def small_model(seed=0):
+    return init_model(num_features=4, hidden=8, num_classes=3, seed=seed)
 
 
 # ------------------------------------------------------------------------ init
 
 def test_init_shapes_mlp():
-    p = small_model("mlp")
+    p = small_model()
     assert p.w_emb.shape == (4, 8)
     assert p.b_emb.shape == (8,)
     assert p.w_pre.shape == (8, 3)
     assert p.b_pre.shape == (3,)
     assert p.num_classes == 3 and p.num_inputs == 4
-
-
-def test_init_shapes_linear():
-    p = small_model("linear")
-    assert p.w_emb is None and p.b_emb is None
-    assert p.w_pre.shape == (4, 3)
 
 
 def test_init_deterministic_in_seed():
@@ -48,19 +44,17 @@ def test_init_deterministic_in_seed():
 
 
 def test_init_bound_respects_fan_in():
-    p = init_model(100, 8, 3, mode="linear", seed=0)
-    assert np.abs(p.w_pre).max() <= 0.1
+    p = init_model(100, 8, 3, seed=0)
+    assert np.abs(p.w_emb).max() <= 0.1
 
 
 def test_init_validation():
     with pytest.raises(ConfigError):
-        init_model(0, 8, 3, mode="mlp", seed=0)
+        init_model(0, 8, 3, seed=0)
     with pytest.raises(ConfigError):
-        init_model(4, 8, 0, mode="mlp", seed=0)
+        init_model(4, 8, 0, seed=0)
     with pytest.raises(ConfigError):
-        init_model(4, 0, 3, mode="mlp", seed=0)
-    with pytest.raises(ConfigError):
-        init_model(4, 8, 3, mode="transformer", seed=0)
+        init_model(4, 0, 3, seed=0)
 
 
 # --------------------------------------------------------------------- softmax
@@ -84,38 +78,29 @@ def test_softmax_shift_invariance():
 # --------------------------------------------------------------------- forward
 
 def test_forward_embed_is_relu_affine():
-    p = small_model("mlp")
+    p = small_model()
     x = np.random.default_rng(2).standard_normal((5, 4))
     expect = np.maximum(x @ p.w_emb + p.b_emb, 0.0)
     assert np.allclose(embed(p, x), expect)
 
 
-def test_forward_linear_embedding_is_logits():
-    p = small_model("linear")
-    x = np.random.default_rng(3).standard_normal((5, 4))
-    assert np.allclose(embed(p, x), x @ p.w_pre + p.b_pre)
-    assert np.allclose(logits(p, x), embed(p, x))
-
-
 def test_forward_predict_rows_sum_to_one():
-    for mode in ("linear", "mlp"):
-        p = small_model(mode)
-        x = np.random.default_rng(4).standard_normal((6, 4))
-        soft = predict(p, x)
-        assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-12)
-        assert (soft >= 0).all()
-        assert np.allclose(soft, softmax(logits(p, x)), atol=1e-15)
+    p = small_model()
+    x = np.random.default_rng(4).standard_normal((6, 4))
+    soft = predict(p, x)
+    assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-12)
+    assert (soft >= 0).all()
+    assert np.allclose(soft, softmax(logits(p, x)), atol=1e-15)
 
 
 def test_forward_rejects_wrong_width():
-    p = small_model("mlp")
+    p = small_model()
     with pytest.raises(ShapeError):
         embed(p, np.zeros((2, 5)))
 
 
 def test_mlp_hand_computed_forward():
-    p = ModelParams(mode="mlp",
-                    w_emb=np.array([[1.0], [-1.0]]),
+    p = ModelParams(w_emb=np.array([[1.0], [-1.0]]),
                     b_emb=np.array([0.5]),
                     w_pre=np.array([[2.0, -2.0]]),
                     b_pre=np.array([0.0, 1.0]))
@@ -129,7 +114,7 @@ def test_mlp_hand_computed_forward():
 # -------------------------------------------------------------------- training
 
 def test_train_zero_epochs_returns_copy():
-    p = small_model("mlp")
+    p = small_model()
     x = np.random.default_rng(5).standard_normal((6, 4))
     y = np.array([0, 1, 2, 0, 1, 2])
     mask = np.ones(6, dtype=bool)
@@ -142,12 +127,11 @@ def test_train_zero_epochs_returns_copy():
 def test_train_does_not_mutate_input_params():
     x = np.random.default_rng(6).standard_normal((6, 4))
     y = np.array([0, 1, 2, 0, 1, 2])
-    for mode in ("linear", "mlp"):
-        p = small_model(mode)
-        snap = p.copy()
-        train(p, x, y, np.ones(6, dtype=bool), lr=0.01, weight_decay=5e-4, epochs=5)
-        for (name, arr), (_, before) in zip(p.items(), snap.items()):
-            assert np.array_equal(arr, before), f"{mode}/{name}"
+    p = small_model()
+    snap = p.copy()
+    train(p, x, y, np.ones(6, dtype=bool), lr=0.01, weight_decay=5e-4, epochs=5)
+    for (name, arr), (_, before) in zip(p.items(), snap.items()):
+        assert np.array_equal(arr, before), name
 
 
 def test_trained_params_share_no_memory_with_step_buffers(monkeypatch):
@@ -162,15 +146,13 @@ def test_trained_params_share_no_memory_with_step_buffers(monkeypatch):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((9, 4))
     y = rng.integers(0, 3, size=9)
-    for mode in ("linear", "mlp"):
-        made.clear()
-        out, _ = train(small_model(mode), x, y, np.ones(9, dtype=bool),
-                       lr=0.01, weight_decay=5e-4, epochs=3)
-        assert len(made) == 1           # one set of buffers per run
-        buffers = [v for v in vars(made[0]).values() if isinstance(v, np.ndarray)]
-        buffers += list(made[0].grads.values())
-        for name, arr in out.items():
-            assert not any(np.shares_memory(arr, b) for b in buffers), f"{mode}/{name}"
+    out, _ = train(small_model(), x, y, np.ones(9, dtype=bool),
+                   lr=0.01, weight_decay=5e-4, epochs=3)
+    assert len(made) == 1           # one set of buffers per run
+    buffers = [v for v in vars(made[0]).values() if isinstance(v, np.ndarray)]
+    buffers += list(made[0].grads.values())
+    for name, arr in out.items():
+        assert not any(np.shares_memory(arr, b) for b in buffers), name
 
 
 def test_train_fits_separable_data():
@@ -178,13 +160,12 @@ def test_train_fits_separable_data():
     y = rng.integers(0, 3, size=60)
     x = rng.standard_normal((60, 4)) * 0.1
     x[np.arange(60), y] += 3.0          # class mean on its own axis
-    for mode in ("linear", "mlp"):
-        p = init_model(4, 8, 3, mode=mode, seed=0)
-        out, hist = train(p, x, y, np.ones(60, dtype=bool),
-                          lr=0.01, weight_decay=5e-4, epochs=100)
-        pred = np.argmax(predict(out, x), axis=1)
-        assert (pred == y).mean() >= 0.95
-        assert hist[-1] < hist[0]
+    p = init_model(4, 8, 3, seed=0)
+    out, hist = train(p, x, y, np.ones(60, dtype=bool),
+                      lr=0.01, weight_decay=5e-4, epochs=100)
+    pred = np.argmax(predict(out, x), axis=1)
+    assert (pred == y).mean() >= 0.95
+    assert hist[-1] < hist[0]
 
 
 def test_train_bit_identical_reruns():
@@ -192,20 +173,19 @@ def test_train_bit_identical_reruns():
     x = rng.standard_normal((10, 4))
     y = rng.integers(0, 3, size=10)
     mask = np.ones(10, dtype=bool)
-    for mode in ("linear", "mlp"):
-        p = small_model(mode)
-        a, ha = train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=20)
-        b, hb = train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=20)
-        assert ha == hb
-        for (_, arr_a), (_, arr_b) in zip(a.items(), b.items()):
-            assert arr_a.tobytes() == arr_b.tobytes()
+    p = small_model()
+    a, ha = train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=20)
+    b, hb = train(p, x, y, mask, lr=0.01, weight_decay=5e-4, epochs=20)
+    assert ha == hb
+    for (_, arr_a), (_, arr_b) in zip(a.items(), b.items()):
+        assert arr_a.tobytes() == arr_b.tobytes()
 
 
 def test_train_loss_decreases_with_small_lr():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((30, 4))
     y = rng.integers(0, 3, size=30)
-    p = small_model("mlp")
+    p = small_model()
     _, hist = train(p, x, y, np.ones(30, dtype=bool),
                     lr=1e-3, weight_decay=0.0, epochs=40)
     diffs = np.diff(hist)
@@ -213,7 +193,7 @@ def test_train_loss_decreases_with_small_lr():
 
 
 def test_train_validation_errors():
-    p = small_model("mlp")
+    p = small_model()
     x = np.zeros((4, 4))
     y, mask = np.zeros(4), np.ones(4, dtype=bool)
     with pytest.raises(ConfigError):
@@ -228,9 +208,9 @@ def test_train_validation_errors():
 
 def test_weight_decay_shrinks_weights():
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((30, 4))
+    x = np.abs(rng.standard_normal((30, 4)))
     y = rng.integers(0, 3, size=30)
-    p = small_model("linear")
+    p = identity_head(np.random.default_rng(0).uniform(-0.5, 0.5, (4, 3)))
     lean, _ = train(p, x, y, np.ones(30, dtype=bool),
                     lr=0.01, weight_decay=0.0, epochs=200)
     heavy, _ = train(p, x, y, np.ones(30, dtype=bool),
@@ -244,22 +224,21 @@ def test_adam_matches_textbook_oracle():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((20, 4))
     y = rng.integers(0, 3, size=20)
-    for mode in ("linear", "mlp"):
-        for weight_decay in (0.0, 5e-4):
-            flat, ref = small_model(mode, seed=4), small_model(mode, seed=4)
-            opt = Adam(flat, lr=0.05, weight_decay=weight_decay)
-            oracle = TextbookAdam(ref, lr=0.05, weight_decay=weight_decay)
-            for _ in range(50):
-                _, grads = cross_entropy(ref, x, y, StepBuffers(ref, 20))
-                oracle.step(ref, grads)
-                opt.step(flat, grads)
-            label = f"{mode}/wd={weight_decay}"
-            for (name, arr), (_, expect) in zip(flat.items(), ref.items()):
-                assert arr.tobytes() == expect.tobytes(), f"{label}/{name}"
-            names = [name for name, _ in ref.items()]
-            for got, moments in ((opt.m, oracle.m), (opt.v, oracle.v)):
-                expect = np.concatenate([moments[n].ravel() for n in names])
-                assert got.tobytes() == expect.tobytes(), label
+    for weight_decay in (0.0, 5e-4):
+        flat, ref = small_model(seed=4), small_model(seed=4)
+        opt = Adam(flat, lr=0.05, weight_decay=weight_decay)
+        oracle = TextbookAdam(ref, lr=0.05, weight_decay=weight_decay)
+        for _ in range(50):
+            _, grads = cross_entropy(ref, x, y, StepBuffers(ref, 20))
+            oracle.step(ref, grads)
+            opt.step(flat, grads)
+        label = f"wd={weight_decay}"
+        for (name, arr), (_, expect) in zip(flat.items(), ref.items()):
+            assert arr.tobytes() == expect.tobytes(), f"{label}/{name}"
+        names = [name for name, _ in ref.items()]
+        for got, moments in ((opt.m, oracle.m), (opt.v, oracle.v)):
+            expect = np.concatenate([moments[n].ravel() for n in names])
+            assert got.tobytes() == expect.tobytes(), label
 
 
 # ------------------------------------------------------------------- gradients
@@ -268,15 +247,14 @@ def test_cross_entropy_gradients_pass_fd_check():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((12, 4))
     y = rng.integers(0, 3, size=12)
-    for mode in ("linear", "mlp"):
-        p = init_model(4, 8, 3, mode=mode, seed=1)
-        err = grad_check(p, lambda q: cross_entropy(q, x, y, StepBuffers(q, 12)),
-                         seed=0, num_probes=30)
-        assert err <= 1e-4, f"{mode}: rel err {err}"
+    p = init_model(4, 8, 3, seed=1)
+    err = grad_check(p, lambda q: cross_entropy(q, x, y, StepBuffers(q, 12)),
+                     seed=0, num_probes=30)
+    assert err <= 1e-4, f"rel err {err}"
 
 
 def test_cross_entropy_value_matches_direct_formula():
-    p = small_model("linear")
+    p = small_model()
     rng = np.random.default_rng(12)
     x = rng.standard_normal((5, 4))
     y = np.array([0, 2, 1, 1, 0])
@@ -292,21 +270,20 @@ def test_cross_entropy_reused_forward_equals_separate_passes():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((40, 4))
     y = rng.integers(0, 3, size=40)
-    for mode in ("linear", "mlp"):
-        p = init_model(4, 8, 3, mode=mode, seed=2)
-        loss, grads = cross_entropy(p, x, y, StepBuffers(p, 40))
-        soft = softmax(logits(p, x))
-        rows = np.arange(40)
-        expect = -np.mean(np.log(np.maximum(soft[rows, y], 1e-300)))
-        dz = soft.copy()
-        dz[rows, y] -= 1.0
-        dz /= 40
-        expect_grads = backprop_cached(p, x, *forward_cache(p, x)[:2], dz, None,
-                                       StepBuffers(p, 40))
-        assert np.array_equal(loss, expect)
-        assert set(grads) == set(expect_grads)
-        for name in grads:
-            assert np.array_equal(grads[name], expect_grads[name]), f"{mode}/{name}"
+    p = init_model(4, 8, 3, seed=2)
+    loss, grads = cross_entropy(p, x, y, StepBuffers(p, 40))
+    soft = softmax(logits(p, x))
+    rows = np.arange(40)
+    expect = -np.mean(np.log(np.maximum(soft[rows, y], 1e-300)))
+    dz = soft.copy()
+    dz[rows, y] -= 1.0
+    dz /= 40
+    expect_grads = backprop_cached(p, x, *forward_cache(p, x)[:2], dz, None,
+                                   StepBuffers(p, 40))
+    assert np.array_equal(loss, expect)
+    assert set(grads) == set(expect_grads)
+    for name in grads:
+        assert np.array_equal(grads[name], expect_grads[name]), name
 
 
 def test_cross_entropy_with_reused_buffers_equals_fresh_buffers():
@@ -314,31 +291,30 @@ def test_cross_entropy_with_reused_buffers_equals_fresh_buffers():
     # into the next result
     rng = np.random.default_rng(15)
     y = rng.integers(0, 3, size=30)
-    for mode in ("linear", "mlp"):
-        p = init_model(4, 8, 3, mode=mode, seed=3)
-        buf = StepBuffers(p, 30)
-        cross_entropy(p, rng.standard_normal((30, 4)) * 5.0, y[::-1], buf)
-        x = rng.standard_normal((30, 4))
-        loss, grads = cross_entropy(p, x, y, buf)
-        expect_loss, expect_grads = cross_entropy(p, x, y, StepBuffers(p, 30))
-        assert loss.tobytes() == expect_loss.tobytes()
-        assert set(grads) == set(expect_grads)
-        for name in grads:
-            assert grads[name].tobytes() == expect_grads[name].tobytes(), f"{mode}/{name}"
+    p = init_model(4, 8, 3, seed=3)
+    buf = StepBuffers(p, 30)
+    cross_entropy(p, rng.standard_normal((30, 4)) * 5.0, y[::-1], buf)
+    x = rng.standard_normal((30, 4))
+    loss, grads = cross_entropy(p, x, y, buf)
+    expect_loss, expect_grads = cross_entropy(p, x, y, StepBuffers(p, 30))
+    assert loss.tobytes() == expect_loss.tobytes()
+    assert set(grads) == set(expect_grads)
+    for name in grads:
+        assert grads[name].tobytes() == expect_grads[name].tobytes(), name
 
 
 # ----------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip(tmp_path):
-    for mode in ("linear", "mlp"):
-        p = small_model(mode)
-        path = tmp_path / f"{mode}.guwt"
-        save_checkpoint(p, path)
-        q = load_checkpoint(path)
-        assert q.mode == mode
-        for (name_p, arr_p), (name_q, arr_q) in zip(p.items(), q.items()):
-            assert name_p == name_q
-            assert np.array_equal(arr_p, arr_q)
+    p = small_model()
+    path = tmp_path / "x.guwt"
+    save_checkpoint(p, path)
+    raw = path.read_bytes()
+    assert raw[4] == 1 and struct.unpack("<3Q", raw[5:29]) == (4, 8, 3)
+    q = load_checkpoint(path)
+    for (name_p, arr_p), (name_q, arr_q) in zip(p.items(), q.items()):
+        assert name_p == name_q
+        assert np.array_equal(arr_p, arr_q)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -349,18 +325,18 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_bad_mode_byte(tmp_path):
-    p = small_model("linear")
     path = tmp_path / "x.guwt"
-    save_checkpoint(p, path)
+    save_checkpoint(small_model(), path)
     raw = bytearray(path.read_bytes())
-    raw[4] = 9
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for byte in (0, 2, 9):
+        raw[4] = byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unknown mode byte"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
-    p = small_model("mlp")
+    p = small_model()
     path = tmp_path / "x.guwt"
     save_checkpoint(p, path)
     raw = path.read_bytes()

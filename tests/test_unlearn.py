@@ -3,13 +3,13 @@ import pytest
 
 from graphunlearn.errors import ConfigError, DataError, RequestError
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
-from graphunlearn.model import ModelParams, init_model, predict, train
+from graphunlearn.model import init_model, predict, train
 from graphunlearn.unlearn import (FinetuneBuffers, UnlearnRequest, _gather,
                                   apply_removal, finetune, fused_loss, prepare_partition,
                                   read_request, transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
 
-from conftest import TextbookAdam, grad_check, loss_oracle, make_graph
+from conftest import TextbookAdam, grad_check, identity_head, loss_oracle, make_graph
 
 
 # -------------------------------------------------------------------- requests
@@ -130,7 +130,7 @@ def test_apply_removal_leaves_input_untouched():
 
 # ------------------------------------------------- partition assembly machinery
 
-def pipeline_fixture(seed=0, n=24, classes=3, mode="mlp"):
+def pipeline_fixture(seed=0, n=24, classes=3):
     """Small trained setup: graph, operator, features, model, soft labels."""
     rng = np.random.default_rng(seed)
     edges = [(i, (i + 1) % n) for i in range(n)] + \
@@ -146,14 +146,14 @@ def pipeline_fixture(seed=0, n=24, classes=3, mode="mlp"):
     op = normalized_adjacency(g, r=0.5)
     cfg = PropagationConfig.s2gc(2)
     x = propagate(op, g.features, cfg)
-    params = init_model(4, 6, classes, mode=mode, seed=seed)
+    params = init_model(4, 6, classes, seed=seed)
     params, _ = train(params, x, g.labels, g.train_mask,
                       lr=0.01, weight_decay=5e-4, epochs=60)
     return g, op, cfg, x, params
 
 
-def partition_fixture(seed=0, ue=(0, 3), hie=(1, 2, 4), mode="mlp"):
-    g, op, cfg, x, params = pipeline_fixture(seed, mode=mode)
+def partition_fixture(seed=0, ue=(0, 3), hie=(1, 2, 4)):
+    g, op, cfg, x, params = pipeline_fixture(seed)
     soft = predict(params, x)
     req = UnlearnRequest(kind="node", nodes=tuple(int(u) for u in ue))
     g_after = apply_removal(g, req)
@@ -239,7 +239,7 @@ def path_partition(train, soft=PATH_SOFT):
     op = normalized_adjacency(g, r=0.5)
     cfg = PropagationConfig.s2gc(1)
     x = propagate(op, g.features, cfg)
-    params = init_model(3, 4, 2, mode="linear", seed=0)
+    params = identity_head(np.eye(3, 2))
     g_after = apply_removal(g, UnlearnRequest(kind="node", nodes=(1, 2)))
     x_after = propagate(normalized_adjacency(g_after, 0.5), g_after.features, cfg)
     return prepare_partition(g_after, x_after, np.array([1, 2]),
@@ -274,17 +274,17 @@ def test_partition_fails_without_non_member():
 def toy_partition(positives=(2,), zero_row=None):
     """Hand-built 4-node partition with full control over every pool;
     zero_row zeroes that post-removal row after the memory is taken."""
-    x_after = np.array([[0.0, 0.0],      # ue row in x_after is irrelevant
-                        [1.0, 0.0],      # hie anchor
-                        [1.0, 1.0],      # positive
-                        [1.0, -1.0]])    # negative
-    params = ModelParams(mode="linear", w_pre=np.eye(2), b_pre=np.zeros(2))
+    x_after = np.array([[0.0, 0.0, 0.0],     # ue row in x_after is irrelevant
+                        [1.0, 0.0, 0.0],     # hie anchor
+                        [1.0, 1.0, 0.0],     # positive
+                        [1.0, 0.0, 1.0]])    # negative
+    params = identity_head(np.eye(3, 2))
     memory = predict(params, x_after[[1]])
     if zero_row is not None:
         x_after[zero_row] = 0.0
     part = _gather(ue=np.array([0]), hie=np.array([1]), target=np.array([[0.25, 0.75]]),
                    memory=memory, positives=[np.array(positives, dtype=np.int64)],
-                   negatives=[np.array([3])], ue_rows=np.array([[2.0, -1.0]]),
+                   negatives=[np.array([3])], ue_rows=np.array([[2.0, 0.0, 1.0]]),
                    x_after=x_after)
     return part, params, x_after
 
@@ -341,7 +341,7 @@ def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
     part, _, _ = toy_partition()
     part.memory = np.array([[1.0, 0.0]])
     # zero weights: current prediction is uniform over 2 classes
-    zero = ModelParams(mode="linear", w_pre=np.zeros((2, 2)), b_pre=np.zeros(2))
+    zero = identity_head(np.zeros((3, 2)))
     _, _, parts = fused_loss(zero, part, lam=0.0, tau=0.5, l2_coef=0.0,
                              buf=FinetuneBuffers(zero, part))
     assert parts["kl"] == pytest.approx(np.log(2.0), abs=1e-12)
@@ -350,15 +350,14 @@ def test_reasoning_kl_one_hot_versus_uniform_is_log_c():
 # ------------------------------------------------------------- gradient checks
 
 def test_every_loss_term_passes_fd_check_both_modes():
-    for mode in ("linear", "mlp"):
-        part, _, _, _ = partition_fixture(seed=2, mode=mode)
-        params = init_model(4, 6, 3, mode=mode, seed=3)
-        for lam in (0.0, 0.3, 1.0):
-            err = grad_check(params,
-                             lambda p: fused_loss(p, part, lam=lam, tau=0.5, l2_coef=5e-4,
-                                                  buf=FinetuneBuffers(p, part))[:2],
-                             seed=1, num_probes=20)
-            assert err <= 1e-4, f"{mode}/lambda={lam}: rel err {err}"
+    part, _, _, _ = partition_fixture(seed=2)
+    params = init_model(4, 6, 3, seed=3)
+    for lam in (0.0, 0.3, 1.0):
+        err = grad_check(params,
+                         lambda p: fused_loss(p, part, lam=lam, tau=0.5, l2_coef=5e-4,
+                                              buf=FinetuneBuffers(p, part))[:2],
+                         seed=1, num_probes=20)
+        assert err <= 1e-4, f"lambda={lam}: rel err {err}"
 
 
 # ------------------------------------------------------------------- fused loss
@@ -368,10 +367,8 @@ def test_fused_loss_matches_oracle_both_modes():
     # direction, so it must add nothing, not NaN, to the gradient
     cases = [toy_partition(), toy_partition(positives=()),
              toy_partition(zero_row=1), toy_partition(zero_row=2)]
-    for mode in ("linear", "mlp"):
-        part, trained, x_after, _ = partition_fixture(seed=2, mode=mode)
-        cases += [(part, trained, x_after),
-                  (part, init_model(4, 6, 3, mode=mode, seed=3), x_after)]
+    part, trained, x_after, _ = partition_fixture(seed=2)
+    cases += [(part, trained, x_after), (part, init_model(4, 6, 3, seed=3), x_after)]
     for part, params, x_after in cases:
         for lam in (0.0, 0.1, 1.0):
             v_ref, g_ref, parts_ref = loss_oracle(params, part, x_after, lam=lam)
@@ -469,9 +466,9 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
     # finetune reuses one set of buffers across epochs; the same epochs
     # on fresh buffers with a per-tensor Adam give the same bytes and log,
     # also when an anchor without positives is left out of the block
-    for mode, drop_positives in (("linear", False), ("mlp", False), ("mlp", True)):
+    for drop_positives in (False, True):
         for lam in (0.0, 0.1, 0.5, 1.0):
-            part, params, x_after, _ = partition_fixture(seed=1, mode=mode)
+            part, params, x_after, _ = partition_fixture(seed=1)
             if drop_positives:
                 part = _gather(part.ue, part.hie, part.target, part.memory,
                                [part.positives[0][:0], *part.positives[1:]],
@@ -487,7 +484,7 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
                 assert entry == {"epoch": epoch, "total": value, **parts}
                 oracle.step(ref, grads)
             for (name, arr), (_, expect) in zip(out.items(), ref.items()):
-                assert arr.tobytes() == expect.tobytes(), f"{mode}/{lam}/{name}"
+                assert arr.tobytes() == expect.tobytes(), f"{drop_positives}/{lam}/{name}"
 
 
 def test_finetune_log_entries_have_all_components():
@@ -529,11 +526,11 @@ def test_finetune_first_epoch_reasoning_starts_at_weight_penalty():
 def test_retrain_matches_manual_training_route():
     g, _, cfg, _, _ = pipeline_fixture(seed=5)
     request = UnlearnRequest(kind="node", nodes=(0, 3))
-    run = RunConfig(k=2, scheme="s2gc", r=0.5, mode="mlp", hidden=6, epochs=30)
+    run = RunConfig(k=2, scheme="s2gc", r=0.5, hidden=6, epochs=30)
     state = retrain_state(g, request, run, seed=5)
     after = apply_removal(g, request)
     x = propagate(normalized_adjacency(after, 0.5), after.features, cfg)
-    fresh = init_model(after.num_features, 6, after.num_classes, mode="mlp", seed=5)
+    fresh = init_model(after.num_features, 6, after.num_classes, seed=5)
     expect, expect_hist = train(fresh, x, after.labels, after.train_mask,
                                 lr=run.lr, weight_decay=run.weight_decay,
                                 epochs=run.epochs)
