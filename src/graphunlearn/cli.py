@@ -108,11 +108,11 @@ def cmd_train(cfg: RunConfig, out: Path, seed: int) -> None:
     state = train_state(graph, cfg, seed)
     save_checkpoint(state.params, out / "checkpoint.guwt")
     pred = np.argmax(state.soft, axis=1)
-    _write_metrics(out, "train", cfg, seed, {
-        "train_f1": f1_score(pred, graph.labels, graph.train_mask),
-        "test_f1": test_f1(state),
-        "final_loss": state.history[-1] if state.history else float("nan"),
-    })
+    metrics = {"train_f1": f1_score(pred, graph.labels, graph.train_mask),
+               "test_f1": test_f1(state)}
+    if state.history:
+        metrics["final_loss"] = state.history[-1]
+    _write_metrics(out, "train", cfg, seed, metrics)
 
 
 def cmd_unlearn(cfg: RunConfig, out: Path, seed: int) -> None:
@@ -127,12 +127,11 @@ def cmd_unlearn(cfg: RunConfig, out: Path, seed: int) -> None:
         write_hie_csv(outcome.selection, out / "hie.csv")
     log_lines = [json.dumps(e, sort_keys=True) for e in outcome.log.epochs]
     write_text(out / "finetune_log.jsonl", "".join(l + "\n" for l in log_lines))
-    _write_metrics(out, "unlearn", cfg, seed, {
-        "num_ue": int(outcome.ue.size),
-        "num_hie": int(outcome.hie.size),
-        "test_f1_unlearned": test_f1(outcome.state),
-        "final_loss": outcome.log.epochs[-1]["total"] if outcome.log.epochs else float("nan"),
-    })
+    metrics = {"num_ue": int(outcome.ue.size), "num_hie": int(outcome.hie.size),
+               "test_f1_unlearned": test_f1(outcome.state)}
+    if outcome.log.epochs:
+        metrics["final_loss"] = outcome.log.epochs[-1]["total"]
+    _write_metrics(out, "unlearn", cfg, seed, metrics)
 
 
 def cmd_retrain(cfg: RunConfig, out: Path, seed: int) -> None:

@@ -128,27 +128,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Config from dotted keys; a value must fit its field's type.
-
-        int fields take integers (not booleans), float fields any finite
-        number, and list fields lists of finite numbers; eval.rho also
-        takes one number.
-        """
-        kinds = {f.name: f.type for f in dc_fields(cls)}
+        """Config from dotted keys; validate checks each value's type."""
         kwargs = {}
         for key, value in doc.items():
             if key not in cls._KEYMAP:
                 raise ConfigError(f"unknown config key {key!r}")
-            name = cls._KEYMAP[key]
-            if name == "rho" and _fits("float", value):
-                value = [value]
-            if not _fits(kinds[name], value):
-                expected = {"str": "a string", "int": "an int", "float": "a finite number",
-                            "tuple": "a list of finite numbers"}[kinds[name]]
-                raise ConfigError(f"{key} must be {expected}, got {value!r}")
-            if kinds[name] == "tuple":
-                value = tuple(float(v) for v in value)
-            kwargs[name] = value
+            kwargs[cls._KEYMAP[key]] = value
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -163,9 +148,22 @@ class RunConfig:
 
     def __post_init__(self):
         self.validate()
+        self.rho = tuple(float(v) for v in self.rho)
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first dotted key whose value is out of range."""
+        """Raise ConfigError naming the first dotted key whose value has the
+        wrong type or lies out of range.
+
+        int fields take integers (not booleans), float fields any finite
+        number, and list fields (eval.rho) lists of finite numbers.
+        """
+        keys = {name: key for key, name in self._KEYMAP.items()}
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if not _fits(f.type, value):
+                expected = {"str": "a string", "int": "an int", "float": "a finite number",
+                            "tuple": "a list of finite numbers"}[f.type]
+                raise ConfigError(f"{keys[f.name]} must be {expected}, got {value!r}")
         if self.scheme not in ("sgc", "s2gc", "gbp"):
             raise ConfigError("propagation.scheme must be 'sgc', 's2gc' or 'gbp', "
                               f"got {self.scheme!r}")
@@ -253,7 +251,7 @@ def loaded_state(graph: Graph, cfg: RunConfig, params: ModelParams) -> PipelineS
     """State around an existing checkpoint; no training happens."""
     op, x_tilde = propagate_graph(graph, cfg)
     return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params,
-                         soft=predict(params, x_tilde), history=[])
+                         soft=predict(params, x_tilde))
 
 
 def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
@@ -295,8 +293,7 @@ def unlearn_state(state: PipelineState, request: UnlearnRequest,
                            l2_coef=cfg.l2_coef)
 
     new_state = PipelineState(graph=graph_after, op=op_after, x_tilde=x_after,
-                              params=params, soft=predict(params, x_after),
-                              history=[e["total"] for e in log.epochs])
+                              params=params, soft=predict(params, x_after))
     return UnlearnOutcome(state=new_state, ue=ue, hie=hie, selection=selection, log=log)
 
 

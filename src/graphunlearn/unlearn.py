@@ -32,8 +32,8 @@ with p(x) the softmax of the logits and e(x) the embedding of a row:
 
 Both KL terms clamp p below at 1e-12.  An embedding whose norm is at
 most 1e-12 has no direction: its cosines add nothing to the gradient,
-and an all-zero embedding has cosine 0 with every row.  At lam = 1 and
-lam = 0 the other half is neither computed nor reported.
+and an all-zero embedding has cosine 0 with every row.  All four terms
+are computed and reported at every lam, 0 and 1 included.
 
 The UE rows that the forgetting terms read are the propagated rows the
 entities contributed while training, cached before removal; everything
@@ -279,8 +279,7 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
 
     # the KL memory is the original model's view of the post-removal
     # rows, so the reasoning term starts at exactly zero
-    memory = predict(original_params, x_after[hie]) \
-        if hie.size else np.zeros((0, num_classes))
+    memory = predict(original_params, x_after[hie])
     return _gather(ue, hie, target, memory, positives, negatives,
                    np.asarray(x_before, dtype=np.float64)[ue], x_after)
 
@@ -319,14 +318,13 @@ def _gather(ue, hie, target, memory, positives, negatives,
 
 class FinetuneBuffers(StepBuffers):
     """StepBuffers plus the fine-tune's own temporaries for one working
-    set: three (rows, width) arrays and one (anchors, samples, width)
+    set: two (rows, width) arrays and one (anchors, samples, width)
     block, so that the epochs of one finetune call allocate none of them.
     """
 
     def __init__(self, params: ModelParams, part: EntityPartition):
         super().__init__(params, part.x.shape[0])
-        self.loss_demb = np.empty_like(self.demb)   # gradient of the loss at the embedding
-        self.cl_demb = np.empty_like(self.demb)     # the contrastive term's share of it
+        self.cl_demb = np.empty_like(self.demb)     # the contrastive gradient at the embedding
         self.scratch = np.empty_like(self.demb)
         self.pairs = np.empty(part.others.shape + self.demb.shape[1:])
 
@@ -337,8 +335,6 @@ def _contrastive_fused(emb: np.ndarray, part: EntityPartition, tau: float,
     the gradient written into buf.cl_demb."""
     demb = buf.cl_demb
     demb.fill(0.0)
-    if part.anchor.size == 0:
-        return 0.0, demb
     norms = np.linalg.norm(emb, axis=1)
     a = emb[part.anchor]
     b = np.take(emb, part.others, axis=0, out=buf.pairs)
@@ -384,42 +380,31 @@ def fused_loss(params: ModelParams, part: EntityPartition, lam: float, tau: floa
                l2_coef: float, buf: FinetuneBuffers):
     """The fine-tune objective in one forward and one backward pass over part.x.
 
-    Returns (value, grads, parts): parts holds the four terms unweighted,
-    and a term whose weight is zero reports 0.  The passes and their
-    temporaries write into buf, and grads are views into it.
+    Returns (value, grads, parts): parts holds the four terms unweighted.
+    The passes and their temporaries write into buf, and grads are views
+    into it.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")
     z1, emb, z = forward_cache(params, part.x, buf)
     soft = softmax(z)
     dlogits = np.zeros_like(z)
-    demb = buf.loss_demb
-    demb.fill(0.0)
-    parts = {"target": 0.0, "contrastive": 0.0, "l2": 0.0, "kl": 0.0}
     nu = part.ue.size
-
-    if lam > 0.0:
-        parts["target"], dz = _kl(part.target, soft[:nu])
-        dlogits[:nu] = lam * dz
-        parts["contrastive"], d_cl = _contrastive_fused(emb, part, tau, buf)
-        d_cl *= lam
-        demb += d_cl
-
-    if lam < 1.0 and part.hie.size:
-        parts["kl"], dz = _kl(part.memory, soft[part.hie_at])
-        dlogits[part.hie_at] = (1.0 - lam) * dz
+    target, dz = _kl(part.target, soft[:nu])
+    dlogits[:nu] = lam * dz
+    contrastive, demb = _contrastive_fused(emb, part, tau, buf)
+    demb *= lam
+    kl, dz = _kl(part.memory, soft[part.hie_at])
+    dlogits[part.hie_at] = (1.0 - lam) * dz
 
     grads = backprop_cached(params, part.x, z1, emb, dlogits, demb, buf)
-    if lam < 1.0:
-        l2 = 0.0
-        for name, arr in params.items():
-            l2 += float(np.sum(arr * arr))
-            grads[name] += (1.0 - lam) * (2.0 * l2_coef * arr)
-        parts["l2"] = l2_coef * l2
-    f_val = parts["target"] + parts["contrastive"]
-    r_val = parts["l2"] + parts["kl"]
-    value = f_val if lam == 1.0 else r_val if lam == 0.0 else lam * f_val + (1.0 - lam) * r_val
-    return value, grads, parts
+    squares = 0.0
+    for name, arr in params.items():
+        squares += float(np.sum(arr * arr))
+        grads[name] += (1.0 - lam) * (2.0 * l2_coef * arr)
+    l2 = l2_coef * squares
+    value = lam * (target + contrastive) + (1.0 - lam) * (l2 + kl)
+    return value, grads, {"target": target, "contrastive": contrastive, "l2": l2, "kl": kl}
 
 
 @dataclass
@@ -437,7 +422,9 @@ def finetune(params: ModelParams, partition: EntityPartition, *, lr: float,
     Returns (new params, FinetuneLog).  The log records every loss
     component per epoch and the post-removal feature rows read, which
     are HIE plus the sampled positives/negatives (UE rows come from the
-    partition's pre-removal cache).
+    partition's pre-removal cache).  An epoch whose objective is not
+    finite (exp(cos / tau) overflows at a tiny tau) raises DataError
+    naming the epoch and its terms, before its step is taken.
     """
     if lr < 0 or epochs < 0 or l2_coef < 0:
         raise ConfigError("lr, epochs and l2_coef must be nonnegative")
@@ -450,8 +437,13 @@ def finetune(params: ModelParams, partition: EntityPartition, *, lr: float,
     buf = FinetuneBuffers(params, partition)
     log = FinetuneLog(rows_read=partition.rows)
     for epoch in range(epochs):
-        value, grads, parts = fused_loss(params, partition, lam=lam, tau=tau,
-                                         l2_coef=l2_coef, buf=buf)
+        # an overflow shows in the value, which is checked instead of warned about
+        with np.errstate(all="ignore"):
+            value, grads, parts = fused_loss(params, partition, lam=lam, tau=tau,
+                                             l2_coef=l2_coef, buf=buf)
+        if not np.isfinite(value):
+            terms = ", ".join(f"{k} {v!r}" for k, v in parts.items())
+            raise DataError(f"fine-tune objective is not finite at epoch {epoch}: {terms}")
         opt.step(params, grads)
         entry = {"epoch": epoch, "total": float(value)}
         entry.update({k: float(v) for k, v in parts.items()})

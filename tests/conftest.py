@@ -286,29 +286,25 @@ def _objective(theta, part, x_after, lam, tau, l2_coef):
                    for c, t in enumerate(target) if t > 0.0)
 
     parts = dict.fromkeys(("target", "contrastive", "l2", "kl"), 0.0)
-    if lam > 0.0:
-        for x, t in zip(ue_rows, part.target):
-            parts["target"] += kl(t, x)
-        for a, pos, neg in zip(part.hie, part.positives, part.negatives):
-            if len(pos) == 0:
-                continue
-            e_a = embed(row(a))
-            w = []
-            for b in np.concatenate([pos, neg]):
-                e_b = embed(row(b))
-                n_a, n_b = norm(e_a), norm(e_b)
-                cos = e_a @ e_b / (n_a * n_b) \
-                    if n_a.real > 1e-12 and n_b.real > 1e-12 else 0.0
-                w.append(np.exp(cos / tau))
-            parts["contrastive"] += np.log(sum(w)) - np.log(sum(w[:len(pos)]))
-    if lam < 1.0:
-        parts["l2"] = l2_coef * sum(np.sum(arr * arr) for arr in theta.values())
-        for h, mem in zip(part.hie, part.memory):
-            parts["kl"] += kl(mem, x_after[h])
-    forget = parts["target"] + parts["contrastive"]
-    reason = parts["l2"] + parts["kl"]
-    value = forget if lam == 1.0 else reason if lam == 0.0 \
-        else lam * forget + (1.0 - lam) * reason
+    for x, t in zip(ue_rows, part.target):
+        parts["target"] += kl(t, x)
+    for a, pos, neg in zip(part.hie, part.positives, part.negatives):
+        if len(pos) == 0:
+            continue
+        e_a = embed(row(a))
+        w = []
+        for b in np.concatenate([pos, neg]):
+            e_b = embed(row(b))
+            n_a, n_b = norm(e_a), norm(e_b)
+            cos = e_a @ e_b / (n_a * n_b) \
+                if n_a.real > 1e-12 and n_b.real > 1e-12 else 0.0
+            w.append(np.exp(cos / tau))
+        parts["contrastive"] += np.log(sum(w)) - np.log(sum(w[:len(pos)]))
+    parts["l2"] = l2_coef * sum(np.sum(arr * arr) for arr in theta.values())
+    for h, mem in zip(part.hie, part.memory):
+        parts["kl"] += kl(mem, x_after[h])
+    value = lam * (parts["target"] + parts["contrastive"]) \
+        + (1.0 - lam) * (parts["l2"] + parts["kl"])
     return value, parts
 
 
@@ -318,7 +314,7 @@ def loss_oracle(params, part, x_after, lam, tau=0.5, l2_coef=5e-4, step=1e-30):
     The value comes from a per-entity loop over the partition; the
     gradient of every parameter coordinate from the complex step
     Im f(theta + i*step*e_j) / step, so no backward pass is written by
-    hand.  A term whose weight is zero reports 0.
+    hand.
     """
     theta = {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()}
     value, parts = _objective(theta, part, x_after, lam, tau, l2_coef)

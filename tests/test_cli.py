@@ -284,12 +284,83 @@ def test_out_of_range_config_value_fails_with_error_line(tmp_path, capsys, overr
 
 
 @pytest.mark.parametrize("fields, key", [({"l2_coef": -1.0}, "unlearn.l2_coef"),
-                                         ({"scheme": "appnp"}, "propagation.scheme")])
+                                         ({"scheme": "appnp"}, "propagation.scheme"),
+                                         ({"theta": float("nan")}, "nim.theta"),
+                                         ({"budget_multiplier": float("inf")},
+                                          "nim.budget_multiplier"),
+                                         ({"epochs": 2.5}, "train.epochs"),
+                                         ({"hidden": True}, "model.hidden"),
+                                         ({"rho": 0.2}, "eval.rho")])
 def test_directly_built_config_is_validated(fields, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         RunConfig(**fields)
     with pytest.raises(ConfigError, match=re.escape(key)):
         dataclasses.replace(RunConfig(), **fields)
+
+
+def test_config_keymap_names_every_field_once():
+    names = sorted(RunConfig._KEYMAP.values())
+    assert names == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_config_round_trips_through_json():
+    # every field off its default, except model.mode, which has one legal value
+    cfg = RunConfig(
+        edges="e.tsv", features="f.gufm", labels="l.tsv", train_mask="tr.txt",
+        test_mask="te.txt", request="r.json", gen_n=100, gen_classes=3, gen_p_in=0.1,
+        gen_p_out=0.01, gen_features=8, gen_separation=1.5, gen_train_fraction=0.7,
+        gen_ue_fraction=0.2, scheme="gbp", k=2, r=0.4, beta=0.3, hidden=8, lr=0.02,
+        weight_decay=0.0, epochs=10, theta=0.4, budget_multiplier=2.0,
+        selection_mode="static", method="khop", khop=3, lam=0.3, finetune_lr=0.02,
+        finetune_epochs=7, tau=0.7, positives=3, negatives=4, l2_coef=1e-3,
+        attack="edge", rho=(0.1, 0.3), seed=5)
+    default = RunConfig()
+    assert [f.name for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) == getattr(default, f.name)] == ["mode"]
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_resolved_config_loads_back_as_config(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("gen", write_config(tmp_path), a) == 0
+    assert run("gen", str(a / "resolved_config.json"), b) == 0
+    assert (a / "resolved_config.json").read_bytes() == (b / "resolved_config.json").read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_no_final_loss_when_no_epoch_ran(tmp_path):
+    cfg = write_config(tmp_path, {"train.epochs": 0, "unlearn.epochs": 0})
+    out = tmp_path / "run"
+    for command in ("gen", "train", "unlearn", "report"):
+        assert run(command, cfg, out) == 0
+    for name in ("metrics_train.jsonl", "metrics_unlearn.jsonl", "metrics.jsonl"):
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(l, parse_constant=_reject_constant) for l in lines]
+        assert rows and all(r["metric"] != "final_loss" for r in rows), name
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_overflowing_finetune_fails_before_writing(tmp_path, lam):
+    # exp(cos / tau) overflows at this tau; at lam = 0 the contrastive term
+    # weighs nothing but is still computed.  A fresh interpreter, so the
+    # real stderr shows any numpy warning as well
+    cfg = write_config(tmp_path, {"unlearn.tau": 0.001, "unlearn.lambda": lam})
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphunlearn.cli", "unlearn", "--config", cfg,
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120)
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error=DataError fine-tune objective is not finite at epoch 0: "
+                        r"[^\n]*\n", proc.stderr), proc.stderr
+    assert not (out / "checkpoint_unlearned.guwt").exists()
+    assert not (out / "finetune_log.jsonl").exists()
 
 
 def test_negative_seed_fails_with_error_line(tmp_path, capsys):
@@ -312,7 +383,9 @@ def test_negative_seed_fails_with_error_line(tmp_path, capsys):
                                         ("train.lr", float("nan")),
                                         ("unlearn.tau", float("inf")),
                                         ("propagation.weights", [1.0, float("-inf")]),
-                                        ("eval.rho", [0.2, float("-inf")])])
+                                        ("eval.rho", [0.2, float("-inf")]),
+                                        # a list is the one spelling of eval.rho
+                                        ("eval.rho", 0.2)])
 def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     assert run("gen", write_config(tmp_path), out) == 0

@@ -395,13 +395,17 @@ def test_working_set_stacks_ue_cache_over_after_rows():
 # ------------------------------------------------------------- lambda mixture
 
 def test_mixed_loss_endpoints_are_exact():
-    # at lam=1 only the forgetting parts count, at lam=0 only l2 + kl
+    # at lam=1 only the forgetting parts count, at lam=0 only l2 + kl; the
+    # half that weighs zero is still computed and reported
+    part, params, x_after = toy_partition()
     v1, _, parts1 = toy_loss(1.0)
     assert v1 == parts1["target"] + parts1["contrastive"]
-    assert parts1["l2"] == 0.0 and parts1["kl"] == 0.0
     v0, _, parts0 = toy_loss(0.0)
     assert v0 == parts0["l2"] + parts0["kl"]
-    assert parts0["target"] == parts0["contrastive"] == 0.0
+    assert parts1 == parts0
+    assert parts1["l2"] > 0.0 and parts0["target"] > 0.0 and parts0["contrastive"] > 0.0
+    for name, ref in loss_oracle(params, part, x_after, lam=0.5)[2].items():
+        assert parts1[name] == pytest.approx(ref, rel=1e-12, abs=1e-12), name
 
 
 def test_mixed_loss_is_convex_combination():
@@ -494,6 +498,21 @@ def test_finetune_log_entries_have_all_components():
     for i, entry in enumerate(log.epochs):
         assert entry["epoch"] == i
         assert set(entry) == {"epoch", "total", "target", "contrastive", "l2", "kl"}
+
+
+def test_finetune_log_reports_every_term_at_lambda_endpoints():
+    # the half that weighs zero is logged too, each term as the oracle
+    # computes it at that epoch's parameters
+    part, params, x_after, _ = partition_fixture(seed=1)
+    for lam in (0.0, 1.0):
+        _, log = finetune(params, part, lr=0.01, epochs=3, lam=lam, tau=0.5, l2_coef=5e-4)
+        for epoch, entry in enumerate(log.epochs):
+            at, _ = finetune(params, part, lr=0.01, epochs=epoch, lam=lam, tau=0.5,
+                             l2_coef=5e-4)
+            _, _, ref = loss_oracle(at, part, x_after, lam=lam)
+            for name, val in ref.items():
+                assert entry[name] == pytest.approx(val, rel=1e-12, abs=1e-12), (lam, name)
+            assert entry["target"] > 0.0 and entry["contrastive"] > 0.0 and entry["l2"] > 0.0
 
 
 def test_finetune_reads_only_working_set_rows():
