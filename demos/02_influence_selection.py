@@ -67,7 +67,7 @@ print(f"{same}/{picked.nodes.size} picks share the seeds' community")
 
 # the same budget spent on plain graph distance
 khop = khop_hie_capped(graph, seeds, hops=2, budget=12)
-overlap = np.intersect1d(picked.nodes, khop).size
-print("\n2-hop alternative:", khop.tolist())
+overlap = np.intersect1d(picked.nodes, khop.nodes).size
+print("\n2-hop alternative (by hop, then id):", khop.nodes.tolist())
 print(f"overlap: {overlap}/{picked.nodes.size} "
       "(influence ranks by propagation weight, not hop count)")

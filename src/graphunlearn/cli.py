@@ -123,11 +123,10 @@ def cmd_unlearn(cfg: RunConfig, out: Path, seed: int) -> None:
 
     outcome = unlearn_state(state, request, cfg, seed)
     save_checkpoint(outcome.state.params, out / "checkpoint_unlearned.guwt")
-    if outcome.selection is not None:
-        write_hie_csv(outcome.selection, out / "hie.csv")
+    write_hie_csv(outcome.selection, out / "hie.csv")
     log_lines = [json.dumps(e, sort_keys=True) for e in outcome.log.epochs]
     write_text(out / "finetune_log.jsonl", "".join(l + "\n" for l in log_lines))
-    metrics = {"num_ue": int(outcome.ue.size), "num_hie": int(outcome.hie.size),
+    metrics = {"num_ue": int(outcome.ue.size), "num_hie": int(outcome.selection.nodes.size),
                "test_f1_unlearned": test_f1(outcome.state)}
     if outcome.log.epochs:
         metrics["final_loss"] = outcome.log.epochs[-1]["total"]

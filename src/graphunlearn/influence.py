@@ -202,11 +202,12 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
                         scores=np.asarray(picked_scores, dtype=np.float64))
 
 
-def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> np.ndarray:
+def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> HieSelection:
     """k-hop neighborhood trimmed to a budget, closest hops first.
 
-    Within one hop level nodes are taken in id order.  This keeps the
-    naive neighborhood baseline comparable to a budgeted greedy run.
+    Nodes come in pick order: by hop, then by id within one hop level,
+    and each scores its hop count.  This keeps the naive neighborhood
+    baseline comparable to a budgeted greedy run.
     """
     # imported here so that loading the library does not load csgraph
     from scipy.sparse.csgraph import dijkstra
@@ -220,8 +221,8 @@ def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> np.ndarray:
     dist = dijkstra(graph.adjacency(), indices=seeds, unweighted=True,
                     limit=hops, min_only=True)
     inside = np.flatnonzero((dist > 0) & (dist <= hops))
-    order = np.lexsort((inside, dist[inside]))
-    return np.sort(inside[order][:budget])
+    picked = inside[np.lexsort((inside, dist[inside]))][:budget]
+    return HieSelection(nodes=picked, scores=dist[picked])
 
 
 def write_hie_csv(selection: HieSelection, path) -> None:

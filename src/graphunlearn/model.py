@@ -220,15 +220,34 @@ class Adam:
             offset += arr.size
 
 
-def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
-          train_mask: np.ndarray, *, lr: float, weight_decay: float, epochs: int):
-    """Full-batch Adam cross-entropy training on the masked rows.
+def optimise(params: ModelParams, objective, *, lr: float, weight_decay: float,
+             epochs: int, what: str):
+    """Full-batch Adam on objective(params) -> (value, grads, {term: float}).
 
-    Returns (trained params, per-epoch loss list).  The input params are
-    left untouched.
+    Returns (new params, one {"epoch", "total", **terms} entry per epoch).
+    An overflow is checked instead of warned about: a value that is not
+    finite raises DataError before its epoch's step.
     """
     if lr < 0 or weight_decay < 0 or epochs < 0:
         raise ConfigError("lr, weight_decay and epochs must be nonnegative")
+    params = params.copy()
+    opt = Adam(params, lr, weight_decay)
+    entries = []
+    for epoch in range(epochs):
+        with np.errstate(all="ignore"):
+            value, grads, terms = objective(params)
+        if not np.isfinite(value):
+            shown = ", ".join(f"{k} {v!r}" for k, v in terms.items())
+            raise DataError(f"{what} objective is not finite at epoch {epoch}: {shown}")
+        opt.step(params, grads)
+        entries.append({"epoch": epoch, "total": float(value), **terms})
+    return params, entries
+
+
+def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
+          train_mask: np.ndarray, *, lr: float, weight_decay: float, epochs: int):
+    """Full-batch Adam cross-entropy training on the masked rows, by optimise.
+    Returns (trained params, the loss before each epoch's step)."""
     train_ids = np.flatnonzero(np.asarray(train_mask))
     if train_ids.size == 0:
         raise ConfigError("training mask selects no nodes")
@@ -236,16 +255,15 @@ def train(params: ModelParams, x_tilde: np.ndarray, labels: np.ndarray,
     if np.any(y < 0):
         raise DataError("every training node must carry a label")
     x = np.asarray(x_tilde, dtype=np.float64)[train_ids]
-
-    params = params.copy()
-    opt = Adam(params, lr, weight_decay)
     buf = StepBuffers(params, x.shape[0])
-    history = []
-    for _ in range(epochs):
-        loss, grads = cross_entropy(params, x, y, buf)
-        opt.step(params, grads)
-        history.append(float(loss))
-    return params, history
+
+    def objective(p):
+        loss, grads = cross_entropy(p, x, y, buf)
+        return loss, grads, {"cross_entropy": float(loss)}
+
+    params, entries = optimise(params, objective, lr=lr, weight_decay=weight_decay,
+                               epochs=epochs, what="training")
+    return params, [e["total"] for e in entries]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

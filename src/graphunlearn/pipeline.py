@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .graph import (Graph, PropagationConfig, SparseOperator,
                     normalized_adjacency, propagate)
 from .influence import SELECTION_MODES, HieSelection, khop_hie_capped, select_hie
@@ -220,14 +219,21 @@ class RunConfig:
 
 @dataclass
 class PipelineState:
-    """A graph with its operator, propagated features, and trained head."""
+    """A graph with its operator, propagated features, trained head, and
+    the head's predictions soft, which must be finite (else DataError)."""
 
     graph: Graph
     op: SparseOperator
     x_tilde: np.ndarray
     params: ModelParams
-    soft: np.ndarray
     history: list = field(default_factory=list)
+    soft: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        with np.errstate(all="ignore"):
+            self.soft = predict(self.params, self.x_tilde)
+        if not np.isfinite(self.soft).all():
+            raise DataError("predictions are not finite: the parameters overflow or hold NaN")
 
 
 @dataclass
@@ -236,9 +242,13 @@ class UnlearnOutcome:
 
     state: PipelineState
     ue: np.ndarray
-    hie: np.ndarray
-    selection: Optional[HieSelection]
+    selection: HieSelection
     log: FinetuneLog
+
+    @property
+    def hie(self) -> np.ndarray:
+        """The selected nodes in ascending id order."""
+        return np.sort(self.selection.nodes)
 
 
 def propagate_graph(graph: Graph, cfg: RunConfig):
@@ -250,8 +260,7 @@ def propagate_graph(graph: Graph, cfg: RunConfig):
 def loaded_state(graph: Graph, cfg: RunConfig, params: ModelParams) -> PipelineState:
     """State around an existing checkpoint; no training happens."""
     op, x_tilde = propagate_graph(graph, cfg)
-    return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params,
-                         soft=predict(params, x_tilde))
+    return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params)
 
 
 def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
@@ -261,7 +270,7 @@ def train_state(graph: Graph, cfg: RunConfig, seed: int) -> PipelineState:
     params, history = train(fresh, x_tilde, graph.labels, graph.train_mask,
                             lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs)
     return PipelineState(graph=graph, op=op, x_tilde=x_tilde, params=params,
-                         soft=predict(params, x_tilde), history=history)
+                         history=history)
 
 
 def unlearn_state(state: PipelineState, request: UnlearnRequest,
@@ -276,25 +285,22 @@ def unlearn_state(state: PipelineState, request: UnlearnRequest,
     ue = transform_request(request)
     budget = cfg.budget_for(ue.size)
     if cfg.method == "khop":
-        selection = None
-        hie = khop_hie_capped(state.graph, ue, cfg.khop, budget)
+        selection = khop_hie_capped(state.graph, ue, cfg.khop, budget)
     else:
         selection = select_hie(state.op, cfg.propagation_config(), ue, state.soft,
                                theta=cfg.theta, budget=budget, mode=cfg.selection_mode)
-        hie = np.sort(selection.nodes)
 
     op_after, x_after = propagate_graph(graph_after, cfg)
     partition = prepare_partition(
-        graph_after, x_after, ue, hie, state.soft, state.params,
+        graph_after, x_after, ue, selection.nodes, state.soft, state.params,
         x_before=state.x_tilde, positives_per_anchor=cfg.positives,
         negatives_per_anchor=cfg.negatives, seed=seed)
     params, log = finetune(state.params, partition, lr=cfg.finetune_lr,
                            epochs=cfg.finetune_epochs, lam=cfg.lam, tau=cfg.tau,
                            l2_coef=cfg.l2_coef)
 
-    new_state = PipelineState(graph=graph_after, op=op_after, x_tilde=x_after,
-                              params=params, soft=predict(params, x_after))
-    return UnlearnOutcome(state=new_state, ue=ue, hie=hie, selection=selection, log=log)
+    new_state = PipelineState(graph=graph_after, op=op_after, x_tilde=x_after, params=params)
+    return UnlearnOutcome(state=new_state, ue=ue, selection=selection, log=log)
 
 
 def retrain_state(graph: Graph, request: UnlearnRequest, cfg: RunConfig,

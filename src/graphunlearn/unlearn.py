@@ -41,14 +41,14 @@ else reads the post-removal propagated features.  The per-step work
 therefore touches only UE, HIE and the sampled positives/negatives,
 never the whole graph: prepare_partition draws that working set and
 gathers its rows once (EntityPartition), and finetune runs every epoch
-as one forward and one backward pass over them (fused_loss), writing
-into buffers allocated once per call (FinetuneBuffers).
+of model.optimise, the training loop, as one forward and one backward
+pass over them (fused_loss), in buffers made once (FinetuneBuffers).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,8 +56,8 @@ import scipy.sparse as sp
 from .errors import ConfigError, DataError, RequestError
 from .fileio import read_json_object, write_text
 from .graph import Graph, build_graph, edge_keys
-from .model import (Adam, ModelParams, StepBuffers, backprop_cached,
-                    forward_cache, predict, softmax)
+from .model import (ModelParams, StepBuffers, backprop_cached, forward_cache,
+                    optimise, predict, softmax)
 
 REQUEST_KINDS = ("feature", "node", "edge")
 
@@ -411,41 +411,27 @@ def fused_loss(params: ModelParams, part: EntityPartition, lam: float, tau: floa
 class FinetuneLog:
     """Per-epoch loss components plus the feature rows that were read."""
 
-    epochs: list = field(default_factory=list)
-    rows_read: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    epochs: list
+    rows_read: np.ndarray
 
 
 def finetune(params: ModelParams, partition: EntityPartition, *, lr: float,
              epochs: int, lam: float, tau: float, l2_coef: float):
-    """Adam fine-tuning of the mixed objective over the working set.
+    """Adam fine-tuning of the mixed objective over the working set, by
+    model.optimise (the training loop) without weight decay.
 
-    Returns (new params, FinetuneLog).  The log records every loss
-    component per epoch and the post-removal feature rows read, which
-    are HIE plus the sampled positives/negatives (UE rows come from the
-    partition's pre-removal cache).  An epoch whose objective is not
-    finite (exp(cos / tau) overflows at a tiny tau) raises DataError
-    naming the epoch and its terms, before its step is taken.
+    Returns (new params, FinetuneLog): every loss term per epoch and the
+    post-removal rows read, HIE and the sampled positives/negatives (UE's
+    rows are cached).  DataError when the objective is not finite.
     """
-    if lr < 0 or epochs < 0 or l2_coef < 0:
-        raise ConfigError("lr, epochs and l2_coef must be nonnegative")
+    if l2_coef < 0:
+        raise ConfigError(f"l2_coef must be nonnegative, got {l2_coef}")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    params = params.copy()
-    opt = Adam(params, lr, weight_decay=0.0)
     buf = FinetuneBuffers(params, partition)
-    log = FinetuneLog(rows_read=partition.rows)
-    for epoch in range(epochs):
-        # an overflow shows in the value, which is checked instead of warned about
-        with np.errstate(all="ignore"):
-            value, grads, parts = fused_loss(params, partition, lam=lam, tau=tau,
-                                             l2_coef=l2_coef, buf=buf)
-        if not np.isfinite(value):
-            terms = ", ".join(f"{k} {v!r}" for k, v in parts.items())
-            raise DataError(f"fine-tune objective is not finite at epoch {epoch}: {terms}")
-        opt.step(params, grads)
-        entry = {"epoch": epoch, "total": float(value)}
-        entry.update({k: float(v) for k, v in parts.items()})
-        log.epochs.append(entry)
-    return params, log
+    params, entries = optimise(
+        params, lambda p: fused_loss(p, partition, lam=lam, tau=tau, l2_coef=l2_coef, buf=buf),
+        lr=lr, weight_decay=0.0, epochs=epochs, what="fine-tune")
+    return params, FinetuneLog(epochs=entries, rows_read=partition.rows)

@@ -12,9 +12,11 @@ import pytest
 
 from graphunlearn.cli import main
 from graphunlearn.errors import ConfigError
-from graphunlearn.fileio import FEATURE_MAGIC
+from graphunlearn.fileio import FEATURE_MAGIC, load_graph
+from graphunlearn.influence import khop_hie_capped
 from graphunlearn.model import CHECKPOINT_MAGIC
 from graphunlearn.pipeline import RunConfig
+from graphunlearn.unlearn import read_request, transform_request
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -111,13 +113,28 @@ def test_unlearn_artifacts(tmp_path):
     assert rows["num_hie"] > 0
 
 
-def test_unlearn_khop_selection_writes_no_influence_table(tmp_path):
-    cfg = write_config(tmp_path, {"nim.method": "khop"})
+def test_khop_unlearn_writes_its_own_hie_table(tmp_path):
+    # an influence run, then a khop run, into one --out: the table left
+    # behind is khop's picks with their hop counts, not the influence run's
     out = tmp_path / "run"
-    run("gen", cfg, out)
-    run("train", cfg, out)
-    assert run("unlearn", cfg, out) == 0
-    assert not (out / "hie.csv").exists()
+    influence = write_config(tmp_path)
+    khop = write_config(tmp_path, {"nim.method": "khop"}, name="khop.json")
+    for command in ("gen", "train", "unlearn"):
+        assert run(command, influence, out) == 0
+    before = (out / "hie.csv").read_text(encoding="utf-8").splitlines()
+    assert run("unlearn", khop, out) == 0
+    after = (out / "hie.csv").read_text(encoding="utf-8").splitlines()
+    assert after != before
+    graph = load_graph(*(out / name for name in ("edges.tsv", "features.gufm", "labels.tsv",
+                                                 "train_mask.txt", "test_mask.txt")))
+    ue = transform_request(read_request(out / "request.json"))
+    expect = khop_hie_capped(graph, ue, 2, RunConfig.from_dict(BASE_CONFIG).budget_for(ue.size))
+    assert expect.nodes.size > 0 and set(expect.scores) <= {1.0, 2.0}
+    lines = ["node,score,round"] + [f"{v},{float(h)!r},{i}" for i, (v, h) in
+                                    enumerate(zip(expect.nodes, expect.scores), start=1)]
+    assert after == lines
+    rows = {r["metric"]: r["value"] for r in read_metrics(out / "metrics_unlearn.jsonl")}
+    assert rows["num_hie"] == expect.nodes.size
 
 
 def test_attack_mia_covers_all_present_checkpoints(tmp_path):
@@ -342,25 +359,51 @@ def test_no_final_loss_when_no_epoch_ran(tmp_path):
         assert rows and all(r["metric"] != "final_loss" for r in rows), name
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_overflowing_finetune_fails_before_writing(tmp_path, lam):
-    # exp(cos / tau) overflows at this tau; at lam = 0 the contrastive term
-    # weighs nothing but is still computed.  A fresh interpreter, so the
-    # real stderr shows any numpy warning as well
-    cfg = write_config(tmp_path, {"unlearn.tau": 0.001, "unlearn.lambda": lam})
+def _nan_weight(out):
+    """Overwrite the checkpoint's first weight (after the 29-byte header) with NaN."""
+    path = out / "checkpoint.guwt"
+    raw = bytearray(path.read_bytes())
+    raw[29:37] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+
+
+_TRAIN_OUTPUTS = ("checkpoint.guwt", "metrics_train.jsonl")
+_UNLEARN_OUTPUTS = ("checkpoint_unlearned.guwt", "finetune_log.jsonl", "hie.csv",
+                    "metrics_unlearn.jsonl")
+
+
+@pytest.mark.parametrize("stage, overrides, corrupt, message", [
+    # exp(cos / tau) overflows at this tau; at lam = 0 the contrastive
+    # term weighs nothing but is still computed
+    ("unlearn", {"unlearn.tau": 0.001, "unlearn.lambda": 0.0}, False,
+     r"fine-tune objective is not finite at epoch 0: [^\n]*"),
+    ("unlearn", {"unlearn.tau": 0.001, "unlearn.lambda": 0.5}, False,
+     r"fine-tune objective is not finite at epoch 0: [^\n]*"),
+    # the first step throws the weights to about 1e300, so the next loss overflows
+    ("train", {"train.lr": 1e300}, False,
+     r"training objective is not finite at epoch 1: cross_entropy nan"),
+    # one epoch: its loss is finite, but the stepped weights' predictions are not
+    ("train", {"train.lr": 1e300, "train.epochs": 1}, False,
+     r"predictions are not finite: [^\n]*"),
+    ("unlearn", {}, True, r"predictions are not finite: [^\n]*"),
+], ids=["finetune-lam0", "finetune-lam0.5", "train-30-epochs", "train-1-epoch",
+        "unlearn-nan-checkpoint"])
+def test_nonfinite_stage_fails_before_writing(tmp_path, stage, overrides, corrupt, message):
+    # a fresh interpreter, so the real stderr shows any numpy warning as well
+    cfg = write_config(tmp_path, overrides)
     out = tmp_path / "run"
-    assert run("gen", cfg, out) == 0
-    assert run("train", cfg, out) == 0
+    for command in ("gen",) if stage == "train" else ("gen", "train"):
+        assert run(command, cfg, out) == 0
+    if corrupt:
+        _nan_weight(out)
     proc = subprocess.run(
-        [sys.executable, "-m", "graphunlearn.cli", "unlearn", "--config", cfg,
-         "--out", str(out)],
+        [sys.executable, "-m", "graphunlearn.cli", stage, "--config", cfg, "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=120)
     assert proc.returncode == 1
-    assert re.fullmatch(r"error=DataError fine-tune objective is not finite at epoch 0: "
-                        r"[^\n]*\n", proc.stderr), proc.stderr
-    assert not (out / "checkpoint_unlearned.guwt").exists()
-    assert not (out / "finetune_log.jsonl").exists()
+    assert re.fullmatch(f"error=DataError {message}\n", proc.stderr), proc.stderr
+    for name in _TRAIN_OUTPUTS if stage == "train" else _UNLEARN_OUTPUTS:
+        assert not (out / name).exists(), name
 
 
 def test_negative_seed_fails_with_error_line(tmp_path, capsys):

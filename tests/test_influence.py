@@ -346,10 +346,11 @@ def test_bfs_distances_path():
 
 
 def khop_oracle(g, ue, hops, budget):
-    """Budgeted k-hop set from the BFS oracle: nearest hop, then smallest id."""
+    """Budgeted k-hop picks from the BFS oracle: (node, hop) pairs, nearest
+    hop first, then smallest id."""
     dist = bfs_distances(g, ue, max_hops=hops)
     inside = [v for v in range(g.n) if 0 < dist[v] <= hops]
-    return sorted(sorted(inside, key=lambda v: (dist[v], v))[:budget])
+    return [(v, int(dist[v])) for v in sorted(inside, key=lambda v: (dist[v], v))[:budget]]
 
 
 def test_khop_capped_matches_bfs_oracle():
@@ -362,7 +363,9 @@ def test_khop_capped_matches_bfs_oracle():
         for hops in range(4):
             for budget in (0, 1, 3, n + 1):
                 got = khop_hie_capped(g, ue, hops, budget)
-                assert got.tolist() == khop_oracle(g, ue, hops, budget)
+                expect = khop_oracle(g, ue, hops, budget)
+                assert got.nodes.tolist() == [v for v, _ in expect]
+                assert got.scores.tolist() == [float(d) for _, d in expect]
 
 
 def test_khop_rejects_seed_out_of_range():
@@ -376,32 +379,34 @@ def test_khop_rejects_seed_out_of_range():
 
 def test_khop_path_two_hops():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert list(khop_hie_capped(g, [0], 2, budget=g.n)) == [1, 2]
+    assert list(khop_hie_capped(g, [0], 2, budget=g.n).nodes) == [1, 2]
 
 
 def test_khop_excludes_seeds_and_respects_reachability():
     g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
     got = khop_hie_capped(g, [0], 4, budget=g.n)
-    assert list(got) == [1, 2]  # 3, 4 in another component
+    assert list(got.nodes) == [1, 2]  # 3, 4 in another component
 
 
 def test_khop_capped_prefers_closer_then_smaller_id():
     # star with extra ring: hub 0 with leaves 1..4, leaf 4 chains to 5
     g = make_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
     got = khop_hie_capped(g, [0], hops=2, budget=3)
-    assert list(got) == [1, 2, 3]  # hop-1 nodes win, smallest ids first
+    assert list(got.nodes) == [1, 2, 3]  # hop-1 nodes win, smallest ids first
     got = khop_hie_capped(g, [0], hops=2, budget=5)
-    assert list(got) == [1, 2, 3, 4, 5]
+    assert list(got.nodes) == [1, 2, 3, 4, 5]
     with pytest.raises(ConfigError):
         khop_hie_capped(g, [0], hops=2, budget=-1)
 
 
-def test_khop_capped_output_is_sorted():
-    rng = np.random.default_rng(6)
-    g = make_graph(15, random_connected_graph(rng, 15, extra_edges=6))
-    got = khop_hie_capped(g, [7], hops=2, budget=5)
-    assert np.array_equal(got, np.sort(got))
-    assert got.size <= 5
+def test_khop_capped_picks_by_hop_then_id_and_scores_the_hop():
+    # seeds 3 and 9 on a path 0-1-...-11: node 6 is 3 hops from both, so
+    # the hop-1 ring (2, 4, 8, 10) precedes the hop-2 ring in id order
+    g = make_graph(12, [(i, i + 1) for i in range(11)])
+    got = khop_hie_capped(g, [9, 3], hops=2, budget=7)
+    assert got.nodes.dtype == np.int64
+    assert got.nodes.tolist() == [2, 4, 8, 10, 1, 5, 7]
+    assert got.scores.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
 
 # ----------------------------------------------------------------------- export

@@ -181,6 +181,28 @@ def test_train_bit_identical_reruns():
         assert arr_a.tobytes() == arr_b.tobytes()
 
 
+def test_train_matches_fresh_buffer_loop_with_textbook_adam():
+    # train reuses one set of buffers across epochs; the same epochs on
+    # fresh buffers with a per-tensor Adam give the same bytes and losses
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((25, 4))
+    y = rng.integers(0, 3, size=25)
+    mask = np.ones(25, dtype=bool)
+    mask[[3, 11]] = False
+    for weight_decay in (0.0, 5e-4):
+        out, hist = train(small_model(seed=5), x, y, mask,
+                          lr=0.05, weight_decay=weight_decay, epochs=12)
+        ref = small_model(seed=5)
+        oracle = TextbookAdam(ref, lr=0.05, weight_decay=weight_decay)
+        assert len(hist) == 12
+        for loss in hist:
+            value, grads = cross_entropy(ref, x[mask], y[mask], StepBuffers(ref, 23))
+            assert loss == value and type(loss) is float
+            oracle.step(ref, grads)
+        for (name, arr), (_, expect) in zip(out.items(), ref.items()):
+            assert arr.tobytes() == expect.tobytes(), f"wd={weight_decay}/{name}"
+
+
 def test_train_loss_decreases_with_small_lr():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((30, 4))
