@@ -212,13 +212,16 @@ class EntityPartition:
     scatter: sp.csr_matrix          # (len(x), A*M) sums per-pair gradients onto x
 
 
-def _sample_pool(rng, pool: np.ndarray, pool_labels: np.ndarray,
-                 want_label: int, count: int) -> np.ndarray:
-    """Up to `count` draws without replacement, preferring the wanted label."""
-    matching = pool[pool_labels == want_label]
+def _by_class(ids: np.ndarray, predicted: np.ndarray, num_classes: int) -> list:
+    """Per class c: (the ids predicted c, the other ids), both in the order of ids."""
+    labels = predicted[ids]
+    return [(ids[labels == c], ids[labels != c]) for c in range(num_classes)]
+
+
+def _sample_pool(rng, matching: np.ndarray, others: np.ndarray, count: int) -> np.ndarray:
+    """Up to `count` draws without replacement, from matching first, then others."""
     take = matching[rng.permutation(matching.size)[:count]]
     if take.size < count:
-        others = pool[pool_labels != want_label]
         extra = others[rng.permutation(others.size)[:count - take.size]]
         take = np.concatenate([take, extra])
     return np.sort(take)
@@ -268,14 +271,14 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
             cands = pool
         target[i] = original_soft[cands[rng.integers(len(cands))]]
 
-    pool_neg = np.concatenate([ue, hie])
+    # split once; an anchor is among the UE/HIE nodes of its own class only
+    rest_split = _by_class(rest, predicted, num_classes)
+    neg_split = _by_class(np.concatenate([ue, hie]), predicted, num_classes)
     positives, negatives = [], []
     for a, lab in zip(hie, predicted[hie]):
-        positives.append(_sample_pool(rng, rest, predicted[rest], int(lab),
-                                      positives_per_anchor))
-        others = pool_neg[pool_neg != a]
-        negatives.append(_sample_pool(rng, others, predicted[others], int(lab),
-                                      negatives_per_anchor))
+        positives.append(_sample_pool(rng, *rest_split[lab], positives_per_anchor))
+        same, other = neg_split[lab]
+        negatives.append(_sample_pool(rng, same[same != a], other, negatives_per_anchor))
 
     # the KL memory is the original model's view of the post-removal
     # rows, so the reasoning term starts at exactly zero
@@ -382,11 +385,9 @@ def fused_loss(params: ModelParams, part: EntityPartition, lam: float, tau: floa
 
     Returns (value, grads, parts): parts holds the four terms unweighted.
     The passes and their temporaries write into buf, and grads are views
-    into it.
+    into it.  lam is taken as given; finetune checks it once per run.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"loss mix lambda must lie in [0, 1], got {lam}")
-    z1, emb, z = forward_cache(params, part.x, buf)
+    emb, z = forward_cache(params, part.x, buf)
     soft = softmax(z)
     dlogits = np.zeros_like(z)
     nu = part.ue.size
@@ -397,7 +398,7 @@ def fused_loss(params: ModelParams, part: EntityPartition, lam: float, tau: floa
     kl, dz = _kl(part.memory, soft[part.hie_at])
     dlogits[part.hie_at] = (1.0 - lam) * dz
 
-    grads = backprop_cached(params, part.x, z1, emb, dlogits, demb, buf)
+    grads = backprop_cached(params, part.x, emb, dlogits, demb, buf)
     squares = 0.0
     for name, arr in params.items():
         squares += float(np.sum(arr * arr))
@@ -431,7 +432,11 @@ def finetune(params: ModelParams, partition: EntityPartition, *, lr: float,
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}")
     buf = FinetuneBuffers(params, partition)
-    params, entries = optimise(
-        params, lambda p: fused_loss(p, partition, lam=lam, tau=tau, l2_coef=l2_coef, buf=buf),
-        lr=lr, weight_decay=0.0, epochs=epochs, what="fine-tune")
+
+    def objective(p):
+        value, _, terms = fused_loss(p, partition, lam=lam, tau=tau, l2_coef=l2_coef, buf=buf)
+        return value, buf.grad_vector, terms
+
+    params, entries = optimise(params, objective, lr=lr, weight_decay=0.0,
+                               epochs=epochs, what="fine-tune")
     return params, FinetuneLog(epochs=entries, rows_read=partition.rows)

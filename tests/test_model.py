@@ -10,15 +10,18 @@ from graphunlearn.model import (Adam, ModelParams, StepBuffers,
                                 init_model, load_checkpoint,
                                 predict, save_checkpoint, softmax, train)
 
+from graphunlearn.unlearn import FinetuneBuffers, _contrastive_fused, _kl, fused_loss
+
 from conftest import TextbookAdam, grad_check, identity_head
+from test_unlearn import partition_fixture
 
 
 def embed(params, x):
-    return forward_cache(params, x)[1]
+    return forward_cache(params, x)[0]
 
 
 def logits(params, x):
-    return forward_cache(params, x)[2]
+    return forward_cache(params, x)[1]
 
 
 def small_model(seed=0):
@@ -128,7 +131,7 @@ def test_train_does_not_mutate_input_params():
     x = np.random.default_rng(6).standard_normal((6, 4))
     y = np.array([0, 1, 2, 0, 1, 2])
     p = small_model()
-    snap = p.copy()
+    snap = p.flat_copy()[0]
     train(p, x, y, np.ones(6, dtype=bool), lr=0.01, weight_decay=5e-4, epochs=5)
     for (name, arr), (_, before) in zip(p.items(), snap.items()):
         assert np.array_equal(arr, before), name
@@ -247,13 +250,15 @@ def test_adam_matches_textbook_oracle():
     x = rng.standard_normal((20, 4))
     y = rng.integers(0, 3, size=20)
     for weight_decay in (0.0, 5e-4):
-        flat, ref = small_model(seed=4), small_model(seed=4)
+        flat, theta = small_model(seed=4).flat_copy()
+        ref = small_model(seed=4)
         opt = Adam(flat, lr=0.05, weight_decay=weight_decay)
         oracle = TextbookAdam(ref, lr=0.05, weight_decay=weight_decay)
         for _ in range(50):
-            _, grads = cross_entropy(ref, x, y, StepBuffers(ref, 20))
+            buf = StepBuffers(ref, 20)
+            _, grads = cross_entropy(ref, x, y, buf)
             oracle.step(ref, grads)
-            opt.step(flat, grads)
+            opt.step(theta, buf.grad_vector)
         label = f"wd={weight_decay}"
         for (name, arr), (_, expect) in zip(flat.items(), ref.items()):
             assert arr.tobytes() == expect.tobytes(), f"{label}/{name}"
@@ -300,7 +305,7 @@ def test_cross_entropy_reused_forward_equals_separate_passes():
     dz = soft.copy()
     dz[rows, y] -= 1.0
     dz /= 40
-    expect_grads = backprop_cached(p, x, *forward_cache(p, x)[:2], dz, None,
+    expect_grads = backprop_cached(p, x, forward_cache(p, x)[0], dz, None,
                                    StepBuffers(p, 40))
     assert np.array_equal(loss, expect)
     assert set(grads) == set(expect_grads)
@@ -323,6 +328,162 @@ def test_cross_entropy_with_reused_buffers_equals_fresh_buffers():
     assert set(grads) == set(expect_grads)
     for name in grads:
         assert grads[name].tobytes() == expect_grads[name].tobytes(), name
+
+
+# -------------------------------------------------------------------- bit lock
+# A frozen copy of the training epoch as it was before its passes were
+# trimmed: np.max/np.sum softmax, a separate pre-activation buffer and
+# mask, p[np.arange(b), y], and an Adam that gathers the tensors into one
+# vector and scatters the update back.  The epoch must keep its bits.
+
+def _old_softmax(z):
+    row = np.max(z, axis=-1, keepdims=True)
+    out = np.subtract(z, row)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return out
+
+
+def _old_forward(params, x):
+    z1 = np.matmul(x, params.w_emb)
+    z1 += params.b_emb
+    emb = np.maximum(z1, 0.0)
+    z = np.matmul(emb, params.w_pre)
+    z += params.b_pre
+    return z1, emb, z
+
+
+def _old_backprop(params, x, z1, emb, dlogits, demb):
+    grads = {"w_pre": np.matmul(emb.T, dlogits), "b_pre": np.sum(dlogits, axis=0)}
+    dz1 = np.matmul(dlogits, params.w_pre.T)
+    if demb is not None:
+        dz1 += demb
+    dz1 *= z1 > 0.0
+    grads["w_emb"] = np.matmul(x.T, dz1)
+    grads["b_emb"] = np.sum(dz1, axis=0)
+    return grads
+
+
+def _old_cross_entropy(params, x, y):
+    z1, emb, z = _old_forward(params, x)
+    p = _old_softmax(z)
+    b = x.shape[0]
+    rows = np.arange(b)
+    loss = -np.mean(np.log(np.maximum(p[rows, y], 1e-300)))
+    p[rows, y] -= 1.0
+    p /= b
+    return loss, _old_backprop(params, x, z1, emb, p, None)
+
+
+class _OldAdam:
+    def __init__(self, params, lr, weight_decay):
+        self.lr, self.weight_decay, self.t = lr, weight_decay, 0
+        size = sum(arr.size for _, arr in params.items())
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._g, self._tmp = np.empty(size), np.empty(size)
+
+    def step(self, params, grads):
+        self.t += 1
+        items = params.items()
+        g, tmp, m, v = self._g, self._tmp, self.m, self.v
+        np.concatenate([grads[name].ravel() for name, _ in items], out=g)
+        if self.weight_decay:
+            np.concatenate([arr.ravel() for _, arr in items], out=tmp)
+            tmp *= self.weight_decay
+            g += tmp
+        m *= 0.9
+        m += np.multiply(g, 1 - 0.9, out=tmp)
+        v *= 0.999
+        np.multiply(g, 1 - 0.999, out=tmp)
+        tmp *= g
+        v += tmp
+        update = np.divide(m, 1 - 0.9 ** self.t, out=tmp)
+        update *= self.lr
+        denom = np.divide(v, 1 - 0.999 ** self.t, out=g)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        update /= denom
+        offset = 0
+        for _, arr in items:
+            arr -= update[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+
+
+def _old_train(params, x, labels, mask, *, lr, weight_decay, epochs):
+    ids = np.flatnonzero(mask)
+    x, y = x[ids], labels[ids]
+    params = ModelParams(*(arr.copy() for _, arr in params.items()))
+    opt = _OldAdam(params, lr, weight_decay)
+    losses = []
+    for _ in range(epochs):
+        loss, grads = _old_cross_entropy(params, x, y)
+        opt.step(params, grads)
+        losses.append(float(loss))
+    return params, losses
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 4, 7, 8, 9, 16])
+def test_train_is_bit_locked_to_the_old_epoch(classes):
+    rng = np.random.default_rng(100 + classes)
+    x = rng.standard_normal((70, 6)) * 2.0
+    y = rng.integers(0, classes, size=70)
+    mask = rng.random(70) < 0.9
+    start = init_model(6, 11, classes, seed=classes)
+    for weight_decay in (0.0, 5e-4):
+        out, hist = train(start, x, y, mask, lr=0.05, weight_decay=weight_decay, epochs=15)
+        ref, ref_hist = _old_train(start, x, y, mask, lr=0.05,
+                                   weight_decay=weight_decay, epochs=15)
+        label = f"classes={classes}, wd={weight_decay}"
+        assert np.array(hist).tobytes() == np.array(ref_hist).tobytes(), label
+        for (name, arr), (_, expect) in zip(out.items(), ref.items()):
+            assert arr.tobytes() == expect.tobytes(), f"{label}/{name}"
+
+
+def test_softmax_is_bit_locked_to_np_max_and_np_sum():
+    rng = np.random.default_rng(21)
+    specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 800.0, -800.0]
+    for classes in (1, 2, 3, 4, 7, 8, 9, 16):
+        z = rng.standard_normal((60, classes)) * 30.0
+        for r in range(0, 60, 3):       # every third row holds special values
+            cols = rng.integers(0, classes, size=rng.integers(1, classes + 1))
+            z[r, cols] = rng.choice(specials, size=cols.size)
+        z[1] = -np.inf
+        z[2] = np.inf
+        with np.errstate(all="ignore"):
+            expect = _old_softmax(z)
+            got = softmax(z)
+            in_place = z.copy()
+            softmax(in_place, out=in_place, row=np.empty((60, 1)))
+        assert got.tobytes() == expect.tobytes(), classes
+        assert in_place.tobytes() == expect.tobytes(), classes
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_fused_loss_is_bit_locked_to_the_old_passes(lam):
+    part, params, _, _ = partition_fixture(seed=2)
+    value, grads, parts = fused_loss(params, part, lam=lam, tau=0.5, l2_coef=5e-4,
+                                     buf=FinetuneBuffers(params, part))
+    # the same objective on the old forward and backward passes
+    z1, emb, z = _old_forward(params, part.x)
+    soft = _old_softmax(z)
+    dlogits = np.zeros_like(z)
+    nu = part.ue.size
+    target, dz = _kl(part.target, soft[:nu])
+    dlogits[:nu] = lam * dz
+    contrastive, demb = _contrastive_fused(emb, part, 0.5, FinetuneBuffers(params, part))
+    demb *= lam
+    kl, dz = _kl(part.memory, soft[part.hie_at])
+    dlogits[part.hie_at] = (1.0 - lam) * dz
+    expect = _old_backprop(params, part.x, z1, emb, dlogits, demb)
+    squares = 0.0
+    for name, arr in params.items():
+        squares += float(np.sum(arr * arr))
+        expect[name] += (1.0 - lam) * (2.0 * 5e-4 * arr)
+    l2 = 5e-4 * squares
+    assert parts == {"target": target, "contrastive": contrastive, "l2": l2, "kl": kl}
+    assert value == lam * (target + contrastive) + (1.0 - lam) * (l2 + kl)
+    for name, _ in params.items():
+        assert grads[name].tobytes() == expect[name].tobytes(), name
 
 
 # ----------------------------------------------------------------- checkpoints

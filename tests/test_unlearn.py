@@ -420,10 +420,11 @@ def test_mixed_loss_is_convex_combination():
 
 
 def test_mixed_loss_validates_lambda():
-    with pytest.raises(ConfigError):
-        toy_loss(1.5)
-    with pytest.raises(ConfigError):
-        toy_loss(-0.1)
+    # finetune checks lambda once per run; fused_loss takes it as given
+    part, params, _, _ = partition_fixture(seed=1)
+    for lam in (1.5, -0.1):
+        with pytest.raises(ConfigError, match="lambda"):
+            finetune(params, part, lr=0.01, epochs=5, lam=lam, tau=0.5, l2_coef=5e-4)
 
 
 # -------------------------------------------------------------------- finetune
@@ -456,7 +457,7 @@ def test_finetune_zero_epochs_and_zero_lr():
 
 def test_finetune_deterministic_and_input_untouched():
     part, params, _, _ = partition_fixture(seed=1)
-    snap = params.copy()
+    snap = params.flat_copy()[0]
     a, la = finetune(params, part,
                      lr=0.01, epochs=10, lam=0.5, tau=0.5, l2_coef=5e-4)
     b, lb = finetune(params, part,
@@ -479,7 +480,7 @@ def test_finetune_matches_fresh_buffer_loop_with_textbook_adam():
                                part.negatives, part.x[:part.ue.size], x_after)
             out, log = finetune(params, part,
                                 lr=0.01, epochs=8, lam=lam, tau=0.5, l2_coef=5e-4)
-            ref = params.copy()
+            ref = params.flat_copy()[0]
             oracle = TextbookAdam(ref, lr=0.01)
             assert part.anchor.size == part.hie.size - drop_positives
             for epoch, entry in enumerate(log.epochs):
