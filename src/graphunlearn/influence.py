@@ -17,20 +17,20 @@ budget runs out; in expanding mode the pick joins the seed set before
 the next round, in static mode the seeds stay the original unlearned
 entities.
 
-A seed's column is supported on its k-hop ball.  When the balls of the
-unlearned entities are small, their columns are computed together as
-the rows of one sparse block (k sparse-sparse products whose cost
-follows the balls) and folded into the aggregates entry by entry.  The
-rule reads the input alone: the mean over seeds of min(n, walks of
-length k from the seed) must be below BLOCK_BALL_FRACTION of n;
-otherwise each seed runs k products over the whole graph, which is
-faster when the balls cover most of it.  A block takes at most
-max(1, BLOCK_ENTRIES // n) seeds, so it holds at most max(n,
-BLOCK_ENTRIES) entries and its memory never grows as n times |UE|.
-Both routes give the same bits.  Still O(n) per seed on either route:
-the soft-label similarity z @ z[u], computed in full so its rounding
-never depends on the ball.  Still O(n) per greedy round: rescoring
-every node, and in expanding mode the pick's own column.
+A seed's column is supported on its k-hop ball, and its cost follows
+the ball while the ball is small.  Hop 1 is read off S's own column u
+(row u of S^T, built once per call) for every seed.  The unlearned
+entities' columns are computed together as the rows of sparse blocks
+of at most max(1, BLOCK_ENTRIES // n) seeds: each further hop is a
+sparse product while the block holds at most SPARSE_SHARE of its
+entries, and once it holds more the remaining hops run densely, over
+sub-blocks of at most max(1, DENSE_ENTRIES // n) seeds, so memory never
+grows as n times |UE|.  An expanding-mode pick's column is hop 1 read
+off S^T, then k - 1 products over the whole graph.  Every route gives
+the bits of propagation_column.  Still O(n) per seed: the soft-label
+similarity z @ z[u], computed in full so its rounding never depends on
+the ball.  Still O(n) per greedy round: rescoring every node, and in
+expanding mode the pick's hops after the first.
 """
 
 from __future__ import annotations
@@ -42,17 +42,23 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .fileio import write_text
-from .graph import Graph, PropagationConfig, SparseOperator, propagation_column
+from .graph import Graph, PropagationConfig, SparseOperator
 
 SELECTION_MODES = ("expanding", "static")
-# The unlearned entities' columns are computed as one sparse block when
-# the mean walk-count bound on their k-hop balls is below this share of
-# the graph.  On SBM graphs (n 2000-4000, |UE| = n/12, one BLAS thread
-# on a 2-core Xeon) the block was 1.4-7.7x faster at every bound up to
-# 0.76, and 10-29% slower where the bound saturated at 1 with k = 3.
-BLOCK_BALL_FRACTION = 0.5
-# Most entries one block of seed columns may hold (chunk width times n).
+# A block of seed columns takes its next hop as a sparse product while it
+# holds at most this share of its entries, and runs its remaining hops
+# densely after that.  At the CLI chain's shape (n = 4000, 26 neighbours,
+# k = 3, |UE| = 320; one BLAS thread on a 2-core Xeon) hop 2 fills about
+# 15% of a block, and selection took 125 ms at 0.05, 138 ms at 0 (dense
+# from hop 2), and 234 ms with a 49 MB tracemalloc peak at 0.2 (hop 3
+# sparse); the per-column route it replaced took 165-185 ms.
+SPARSE_SHARE = 0.05
+# Most entries one block of seed columns may hold (block width times n).
 BLOCK_ENTRIES = 1 << 20
+# Most entries one dense sub-block of the tail hops may hold.  At the
+# same shape the tracemalloc peak of selection read 7 MB, against 37 MB
+# with dense tails on whole blocks.
+DENSE_ENTRIES = 1 << 15
 
 
 def _check_soft_labels(z: np.ndarray, n: int) -> np.ndarray:
@@ -64,61 +70,130 @@ def _check_soft_labels(z: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
+def _seed_ids(ue, n: int) -> np.ndarray:
+    """Sorted unique seed ids: ConfigError unless whole numbers,
+    IndexError unless in [0, n)."""
+    ids = np.asarray(ue)
+    if ids.size and ids.dtype.kind not in "iu" and not (
+            ids.dtype.kind == "f" and np.isfinite(ids).all() and (ids == np.trunc(ids)).all()):
+        raise ConfigError("seed node ids must be integers")
+    seeds = np.unique(ids.astype(np.int64))
+    if seeds.size and (seeds[0] < 0 or seeds[-1] >= n):
+        raise IndexError(f"seed node outside [0, {n})")
+    return seeds
+
+
 def _safe_ratio(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     out = np.zeros_like(top)
     np.divide(top, bottom, out=out, where=bottom > 0.0)
     return out
 
 
-def _ball_fraction(op: SparseOperator, k: int, seeds: np.ndarray) -> float:
-    """Mean over seeds of min(n, walks of length k from the seed) / n.
+def _pick_column(op: SparseOperator, s_t: sp.csr_matrix, config: PropagationConfig,
+                 u: int) -> np.ndarray:
+    """propagation_column(op, config, u) with hop 1 read off row u of S^T.
 
-    The walk count (P^(k-1) rownnz)[u], with P the 0/1 pattern of S,
-    bounds the size of u's k-hop ball, the support of its column.
+    A one-hot csr_matvec adds S[v, u] * 1.0 to +0.0 terms, so the row of
+    S^T is its exact result; the later hops are propagate's own.
     """
-    if k == 0:
-        return 1.0 / op.n
-    s = op.matrix
-    pattern = sp.csr_matrix((np.ones(s.nnz), s.indices, s.indptr), shape=s.shape)
-    walks = np.diff(s.indptr).astype(np.float64)
-    for _ in range(k - 1):
-        walks = pattern @ walks
-    return float(np.minimum(walks[seeds], op.n).mean()) / op.n
+    w = config.weights
+    e = np.zeros(op.n)
+    e[u] = 1.0
+    out = w[0] * e
+    if config.k:
+        cur = np.zeros(op.n)
+        lo, hi = s_t.indptr[u], s_t.indptr[u + 1]
+        cur[s_t.indices[lo:hi]] = s_t.data[lo:hi]
+        out = out + w[1] * cur
+        for l in range(2, config.k + 1):
+            cur = op.matrix @ cur
+            out = out + w[l] * cur
+    return out
 
 
-def _fold_seed_block(op: SparseOperator, config: PropagationConfig, seeds: np.ndarray,
-                     z: np.ndarray, max_t, sum_t, max_f, sum_f) -> None:
-    """Fold the seeds' columns into the aggregates, computed as sparse rows.
+def _fold_column(agg, col: np.ndarray, sim: np.ndarray) -> None:
+    """Fold one dense column and its similarities z @ z[u] into agg."""
+    max_t, sum_t, max_f, sum_f = agg
+    col_t = np.abs(col)
+    col_f = col_t * sim
+    np.maximum(max_t, col_t, out=max_t)
+    np.maximum(max_f, col_f, out=max_f)
+    np.add(sum_t, col_t, out=sum_t)
+    np.add(sum_f, col_f, out=sum_f)
 
-    Gives the same bits as folding propagation_column seed by seed.  Row
-    b of `cur` is (S^l e_u)^T; B @ S^T with sorted rows sums each entry
-    over neighbours in ascending column order, as csr_matvec does, and
-    the terms it skips are exact zeros.  np.maximum.at / np.add.at walk
-    the entries row by row, so every node sees its seeds in order.
+
+def _fold_sparse(agg, out: sp.csr_matrix, block: np.ndarray, z: np.ndarray) -> None:
+    """Fold the block's columns, held as the sorted sparse rows of out.
+
+    np.maximum.at / np.add.at walk the entries row by row, so every node
+    sees its seeds in order; the entries out skips are exact zeros.
+    """
+    max_t, sum_t, max_f, sum_f = agg
+    col_t = np.abs(out.data)
+    sim = np.empty_like(col_t)
+    for b, u in enumerate(block):
+        lo, hi = out.indptr[b], out.indptr[b + 1]
+        sim[lo:hi] = (z @ z[u])[out.indices[lo:hi]]
+    col_f = col_t * sim
+    np.maximum.at(max_t, out.indices, col_t)
+    np.add.at(sum_t, out.indices, col_t)
+    np.maximum.at(max_f, out.indices, col_f)
+    np.add.at(sum_f, out.indices, col_f)
+
+
+def _fold_dense_tail(agg, op: SparseOperator, config: PropagationConfig, done: int,
+                     cur: sp.csr_matrix, out: sp.csr_matrix, block: np.ndarray,
+                     z: np.ndarray) -> None:
+    """Run hops done+1..k densely, DENSE_ENTRIES at a time, and fold.
+
+    cur and out hold hop `done` and the partial sum as sparse rows.  S @ C
+    sums each entry over neighbours in ascending column order, as
+    csr_matvec does, so every column keeps its bits; each is then folded
+    in seed order with the ufuncs of a whole-graph column.
     """
     n, w = op.n, config.weights
-    s_t = op.matrix.T.tocsr()
-    s_t.sort_indices()
+    width = max(1, DENSE_ENTRIES // n)
+    for lo in range(0, block.size, width):
+        hi = min(lo + width, block.size)
+        c = cur[lo:hi].T.toarray()
+        acc = out[lo:hi].T.toarray()
+        for l in range(done + 1, config.k + 1):
+            c = op.matrix @ c
+            acc += w[l] * c
+        for j, u in enumerate(block[lo:hi]):
+            _fold_column(agg, acc[:, j], z @ z[u])
+
+
+def _fold_seed_block(agg, op: SparseOperator, s_t: sp.csr_matrix,
+                     config: PropagationConfig, seeds: np.ndarray, z: np.ndarray) -> None:
+    """Fold the seeds' columns into agg, BLOCK_ENTRIES at a time.
+
+    Gives the same bits as folding propagation_column seed by seed.  Row
+    b of `cur` is (S^l e_u)^T.  Hop 1 is row u of S^T, i.e. column u of
+    S, which a one-hot csr_matvec returns exactly (it adds S[v, u] * 1.0
+    to +0.0 terms).  While the block is sparse, B @ S^T with sorted rows
+    sums each entry over neighbours in ascending column order, as
+    csr_matvec does, and the terms it skips are exact zeros; once more
+    than SPARSE_SHARE of the block is filled, the remaining hops run
+    densely.
+    """
+    n, w, k = op.n, config.weights, config.k
     width = max(1, BLOCK_ENTRIES // n)
     for start in range(0, seeds.size, width):
-        chunk = seeds[start:start + width]
-        cur = sp.csr_matrix((np.ones(chunk.size), chunk, np.arange(chunk.size + 1)),
-                            shape=(chunk.size, n))
+        block = seeds[start:start + width]
+        cur = sp.csr_matrix((np.ones(block.size), block, np.arange(block.size + 1)),
+                            shape=(block.size, n))
         out = w[0] * cur
-        for l in range(1, config.k + 1):
-            cur = cur @ s_t
+        done = 0
+        while done < k and (done == 0 or cur.nnz <= SPARSE_SHARE * block.size * n):
+            done += 1
+            cur = s_t[block] if done == 1 else cur @ s_t
             cur.sort_indices()
-            out = out + w[l] * cur
-        col_t = np.abs(out.data)
-        sim = np.empty_like(col_t)
-        for b, u in enumerate(chunk):
-            lo, hi = out.indptr[b], out.indptr[b + 1]
-            sim[lo:hi] = (z @ z[u])[out.indices[lo:hi]]
-        col_f = col_t * sim
-        np.maximum.at(max_t, out.indices, col_t)
-        np.add.at(sum_t, out.indices, col_t)
-        np.maximum.at(max_f, out.indices, col_f)
-        np.add.at(sum_f, out.indices, col_f)
+            out = out + w[done] * cur
+        if done == k:
+            _fold_sparse(agg, out, block, z)
+        else:
+            _fold_dense_tail(agg, op, config, done, cur, out, block, z)
 
 
 @dataclass(frozen=True)
@@ -151,37 +226,21 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
     """
     if mode not in SELECTION_MODES:
         raise ConfigError(f"selection mode must be one of {SELECTION_MODES}, got {mode!r}")
-    if theta < 0.0:
-        raise ConfigError(f"theta must be nonnegative, got {theta}")
+    if not 0.0 <= theta < np.inf:
+        raise ConfigError(f"theta must be finite and nonnegative, got {theta}")
     if budget < 0:
         raise ConfigError(f"budget must be nonnegative, got {budget}")
     n = op.n
-    ue = np.unique(np.asarray(ue, dtype=np.int64))
+    ue = _seed_ids(ue, n)
     if ue.size == 0:
         raise ConfigError("unlearned entity set must not be empty")
-    if ue.min() < 0 or ue.max() >= n:
-        raise IndexError(f"seed node outside [0, {n})")
     z = _check_soft_labels(soft_labels, n)
+    s_t = op.matrix.T.tocsr()
+    s_t.sort_indices()
 
-    # running per-node aggregates over the current seed set
-    sum_t = np.zeros(n)
-    max_t = np.zeros(n)
-    sum_f = np.zeros(n)
-    max_f = np.zeros(n)
-
-    def add_seed(u: int) -> None:
-        col_t = np.abs(propagation_column(op, config, u))
-        col_f = col_t * (z @ z[u])
-        np.maximum(max_t, col_t, out=max_t)
-        np.maximum(max_f, col_f, out=max_f)
-        np.add(sum_t, col_t, out=sum_t)
-        np.add(sum_f, col_f, out=sum_f)
-
-    if _ball_fraction(op, config.k, ue) < BLOCK_BALL_FRACTION:
-        _fold_seed_block(op, config, ue, z, max_t, sum_t, max_f, sum_f)
-    else:
-        for u in ue:
-            add_seed(int(u))
+    # running per-node max and sum of both channels over the seed set
+    agg = max_t, sum_t, max_f, sum_f = tuple(np.zeros(n) for _ in range(4))
+    _fold_seed_block(agg, op, s_t, config, ue, z)
 
     candidate = np.ones(n, dtype=bool)
     candidate[ue] = False
@@ -196,7 +255,7 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
         picked_scores.append(float(score[best]))
         candidate[best] = False
         if mode == "expanding":
-            add_seed(best)
+            _fold_column(agg, _pick_column(op, s_t, config, best), z @ z[best])
 
     return HieSelection(nodes=np.asarray(picked, dtype=np.int64),
                         scores=np.asarray(picked_scores, dtype=np.float64))
@@ -214,9 +273,7 @@ def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> HieSelection:
 
     if hops < 0 or budget < 0:
         raise ConfigError(f"hops and budget must be nonnegative, got {hops} and {budget}")
-    seeds = np.unique(np.asarray(ue, dtype=np.int64))
-    if seeds.size and (seeds[0] < 0 or seeds[-1] >= graph.n):
-        raise IndexError(f"seed node outside [0, {graph.n})")
+    seeds = _seed_ids(ue, graph.n)
     # hop count from the nearest seed, inf beyond `hops` or unreachable
     dist = dijkstra(graph.adjacency(), indices=seeds, unweighted=True,
                     limit=hops, min_only=True)

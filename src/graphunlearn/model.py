@@ -177,6 +177,18 @@ def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return softmax(z, out=z)
 
 
+def _column_sums(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.sum(d, axis=0, out=out) with its bits, in one pass over d.
+
+    np.sum walks the rows one narrow inner loop at a time; einsum adds
+    them in the same row order.  A single column np.sum sums pairwise,
+    so it keeps np.sum.
+    """
+    if d.shape[1] == 1:
+        return np.sum(d, axis=0, out=out)
+    return np.einsum("ij->j", d, out=out)
+
+
 def backprop_cached(params: ModelParams, x: np.ndarray, emb: np.ndarray,
                     dlogits: np.ndarray, demb: np.ndarray | None,
                     buf: StepBuffers) -> dict:
@@ -190,13 +202,13 @@ def backprop_cached(params: ModelParams, x: np.ndarray, emb: np.ndarray,
     x = np.atleast_2d(x)
     grads = buf.grads
     np.matmul(emb.T, dlogits, out=grads["w_pre"])
-    np.sum(dlogits, axis=0, out=grads["b_pre"])
+    _column_sums(dlogits, grads["b_pre"])
     dz1 = np.matmul(dlogits, params.w_pre.T, out=buf.demb)
     if demb is not None:
         dz1 += demb
     dz1 *= np.greater(emb, 0.0, out=buf.active)
     np.matmul(x.T, dz1, out=grads["w_emb"])
-    np.sum(dz1, axis=0, out=grads["b_emb"])
+    _column_sums(dz1, grads["b_emb"])
     return grads
 
 

@@ -340,7 +340,9 @@ def _contrastive_fused(emb: np.ndarray, part: EntityPartition, tau: float,
     demb.fill(0.0)
     norms = np.linalg.norm(emb, axis=1)
     a = emb[part.anchor]
-    b = np.take(emb, part.others, axis=0, out=buf.pairs)
+    # "clip" lets take write into out= without buffering the gather;
+    # prepare_partition builds others inside [0, len(x))
+    b = np.take(emb, part.others, axis=0, out=buf.pairs, mode="clip")
     na = norms[part.anchor]
     nb = norms[part.others]
     cos = np.einsum("amd,ad->am", b, a) / np.maximum(na[:, None] * nb, 1e-300)

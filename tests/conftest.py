@@ -197,9 +197,9 @@ def select_hie_per_column(op: SparseOperator, config: PropagationConfig, ue,
                            mode: str) -> HieSelection:
     """Reference greedy selection: every seed's column by propagation_column.
 
-    The per-column select_hie as it stood before the unlearned entities'
-    columns could be computed as one sparse block; select_hie must give
-    the same picks and the same score bits on either route.
+    The per-column select_hie as it stood before seed columns were
+    computed in sparse blocks and dense tails; select_hie must give the
+    same picks and the same score bits on every route.
     """
     if mode not in SELECTION_MODES:
         raise ConfigError(f"selection mode must be one of {SELECTION_MODES}, got {mode!r}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,34 @@ def test_select_validation_errors():
         select_hie(op, cfg, ue=[9], soft_labels=z, theta=0.5, budget=2, mode="expanding")
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_select_rejects_non_finite_theta(theta):
+    # a NaN theta never stops the greedy loop: it used to pick the whole budget
+    _, op, cfg, z = star_fixture()
+    with pytest.raises(ConfigError, match="theta"):
+        select_hie(op, cfg, ue=[0], soft_labels=z, theta=theta, budget=4, mode="expanding")
+
+
+@pytest.mark.parametrize("ue", [[0.5, 1.7], [0.0, math.nan], ["0"], [True]])
+def test_seed_ids_must_be_integers(ue):
+    # float ids used to be truncated: [0.5, 1.7] ran as seeds 0 and 1
+    g, op, cfg, z = star_fixture()
+    with pytest.raises(ConfigError, match="integers"):
+        select_hie(op, cfg, ue=ue, soft_labels=z, theta=0.0, budget=2, mode="expanding")
+    with pytest.raises(ConfigError, match="integers"):
+        khop_hie_capped(g, ue, hops=1, budget=2)
+
+
+def test_whole_float_seed_ids_are_accepted():
+    g, op, cfg, z = star_fixture()
+    as_float = select_hie(op, cfg, ue=np.array([0.0, 2.0]), soft_labels=z, theta=0.0,
+                          budget=2, mode="expanding")
+    as_int = select_hie(op, cfg, ue=[0, 2], soft_labels=z, theta=0.0, budget=2,
+                        mode="expanding")
+    assert np.array_equal(as_float.nodes, as_int.nodes)
+    assert khop_hie_capped(g, [2.0], 2, 4).nodes.tolist() == [0, 1, 3, 4]
+
+
 def test_select_deterministic_and_prefix_property():
     rng = np.random.default_rng(2)
     g = make_graph(12, random_connected_graph(rng, 12, extra_edges=5))
@@ -254,7 +283,7 @@ def test_select_theta_filters_low_scores_static():
         assert np.array_equal(cut.nodes, full.nodes[full.scores >= theta])
 
 
-# ------------------------------------------- block route vs per-column oracle
+# ------------------------------------- seed-column routes vs per-column oracle
 
 def sparse_sbm(n=400, p_in=0.02, p_out=0.002, seed=0):
     """About 2.6 neighbours per node at the defaults: 3-hop balls stay small."""
@@ -285,8 +314,6 @@ def test_select_matches_per_column_oracle_bit_for_bit(scheme):
         for k in range(4):
             cfg = scheme_config(scheme, k)
             ue = rng.choice(g.n, size=40, replace=False)
-            # small balls: the unlearned entities take the block route
-            assert influence._ball_fraction(op, k, ue) < influence.BLOCK_BALL_FRACTION
             for c in (2, 3, 4, 5):
                 z = rng.dirichlet(np.ones(c), size=g.n)
                 for mode in SELECTION_MODES:
@@ -311,28 +338,72 @@ def test_select_matches_oracle_on_edge_attack_operator(seed):
                                ue, z, cfg.theta, cfg.budget_for(ue.size), cfg.selection_mode))
 
 
-@pytest.mark.parametrize("p_in, p_out, per_column", [
-    (0.02, 0.002, False),  # 2.6 neighbours: 3-hop balls hold a few percent
-    (0.2, 0.02, True),     # the CLI chain's 26 neighbours at n=400: balls cover the graph
-], ids=["small-balls", "dense-balls"])
-def test_unlearned_columns_take_the_block_route_only_on_small_balls(
-        monkeypatch, p_in, p_out, per_column):
-    columns = []
-    per_seed = influence.propagation_column
+BALLS = {"small-balls": (0.02, 0.002),  # 2.6 neighbours: 3-hop balls hold a few percent
+         "dense-balls": (0.2, 0.02)}     # the CLI chain's 26 neighbours at n=400
 
-    def counted(op, config, u):
-        columns.append(u)
-        return per_seed(op, config, u)
 
-    monkeypatch.setattr(influence, "propagation_column", counted)
+@pytest.mark.parametrize("share", [0.0, math.inf], ids=["dense-from-hop-2", "sparse-throughout"])
+@pytest.mark.parametrize("balls", sorted(BALLS))
+def test_select_matches_oracle_with_each_route_forced(monkeypatch, share, balls):
+    # narrow blocks and sub-blocks, so the folds also cross their seams
+    monkeypatch.setattr(influence, "SPARSE_SHARE", share)
+    monkeypatch.setattr(influence, "BLOCK_ENTRIES", 7 * 400)
+    monkeypatch.setattr(influence, "DENSE_ENTRIES", 3 * 400)
+    p_in, p_out = BALLS[balls]
+    g = sparse_sbm(p_in=p_in, p_out=p_out, seed=3)
+    rng = np.random.default_rng(13)
+    for scheme in ("sgc", "s2gc", "gbp", "custom"):
+        for r in (0.0, 0.5, 1.0):
+            op = normalized_adjacency(g, r)
+            for k in range(4):
+                ue = rng.choice(g.n, size=40, replace=False)
+                z = rng.dirichlet(np.ones(3), size=g.n)
+                for mode in SELECTION_MODES:
+                    assert_same_selection((op, scheme_config(scheme, k), ue, z, 0.3, 30, mode))
+
+
+@pytest.mark.parametrize("balls, dense", [("small-balls", False), ("dense-balls", True)],
+                         ids=["small-balls", "dense-balls"])
+def test_unlearned_columns_run_dense_tails_only_on_dense_balls(monkeypatch, balls, dense):
+    tails = []
+    fold_tail = influence._fold_dense_tail
+
+    def counted(agg, op, config, done, cur, out, block, z):
+        tails.append((done, block.tolist()))
+        return fold_tail(agg, op, config, done, cur, out, block, z)
+
+    monkeypatch.setattr(influence, "_fold_dense_tail", counted)
+    p_in, p_out = BALLS[balls]
     g = sparse_sbm(p_in=p_in, p_out=p_out, seed=2)
     rng = np.random.default_rng(2)
     ue = np.unique(rng.choice(g.n, size=40, replace=False))
     z = rng.dirichlet(np.ones(3), size=g.n)
-    sel = select_hie(normalized_adjacency(g, 0.5), PropagationConfig.s2gc(3), ue, z,
-                     theta=0.0, budget=10, mode="expanding")
-    assert sel.nodes.size == 10
-    assert columns == (ue.tolist() if per_column else []) + sel.nodes.tolist()
+    args = (normalized_adjacency(g, 0.5), PropagationConfig.s2gc(3), ue, z, 0.0, 10, "expanding")
+    assert_same_selection(args)
+    # 26 neighbours at n = 400 fill 7% of the block at hop 1, so hops 2
+    # and 3 run dense; picks never take the fold
+    assert tails == ([(1, ue.tolist())] if dense else [])
+
+
+def test_select_memory_stays_narrow_at_the_cli_shape():
+    # the CLI chain's selection: n = 4000, 26 neighbours, |UE| = 320, k = 3;
+    # dense tails on whole 2**20-entry blocks peaked at 37 MB here
+    cfg = RunConfig(theta=0.5)
+    g = generate_sbm(SbmSpec(n=4000, classes=4, p_in=0.02, p_out=0.002, num_features=4,
+                             separation=1.0, train_fraction=0.8), 2)
+    rng = np.random.default_rng(2)
+    ue = rng.choice(g.n, size=320, replace=False)
+    z = rng.dirichlet(np.ones(4), size=g.n)
+    op = normalized_adjacency(g, cfg.r)
+    tracemalloc.start()
+    try:
+        sel = select_hie(op, cfg.propagation_config(), ue, z, cfg.theta,
+                         cfg.budget_for(ue.size), cfg.selection_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sel.nodes.size > 0
+    assert peak < 12 * 2**20, f"select_hie peaked at {peak / 2**20:.1f} MB"
 
 
 # ------------------------------------------------------------------ khop + bfs

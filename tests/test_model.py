@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -428,12 +429,13 @@ def test_train_is_bit_locked_to_the_old_epoch(classes):
     x = rng.standard_normal((70, 6)) * 2.0
     y = rng.integers(0, classes, size=70)
     mask = rng.random(70) < 0.9
-    start = init_model(6, 11, classes, seed=classes)
-    for weight_decay in (0.0, 5e-4):
+    # width-1 bias sums are where einsum and np.sum part ways
+    for hidden, weight_decay in itertools.product((1, 11, 64), (0.0, 5e-4)):
+        start = init_model(6, hidden, classes, seed=classes)
         out, hist = train(start, x, y, mask, lr=0.05, weight_decay=weight_decay, epochs=15)
         ref, ref_hist = _old_train(start, x, y, mask, lr=0.05,
                                    weight_decay=weight_decay, epochs=15)
-        label = f"classes={classes}, wd={weight_decay}"
+        label = f"classes={classes}, hidden={hidden}, wd={weight_decay}"
         assert np.array(hist).tobytes() == np.array(ref_hist).tobytes(), label
         for (name, arr), (_, expect) in zip(out.items(), ref.items()):
             assert arr.tobytes() == expect.tobytes(), f"{label}/{name}"

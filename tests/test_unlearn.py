@@ -210,6 +210,25 @@ def test_partition_pools_stay_in_bounds():
         assert set(part.negatives[i]) <= ue_hie - {int(anchor)}
 
 
+def test_partition_others_index_rows_of_x():
+    # the contrastive term gathers emb rows at others with mode="clip",
+    # which would hide an index outside the working set
+    g, op, cfg, x, params = pipeline_fixture(seed=1)
+    soft = predict(params, x)
+    parts = [path_partition([True] * 4 + [False] * 2)]
+    for seed, (positives, negatives) in enumerate(((3, 3), (1, 7), (7, 1), (0, 4), (5, 0))):
+        ue = np.array([0, 3])
+        g_after = apply_removal(g, UnlearnRequest(kind="node", nodes=(0, 3)))
+        x_after = propagate(normalized_adjacency(g_after, r=0.5), g_after.features, cfg)
+        parts.append(prepare_partition(g_after, x_after, ue, np.array([1, 2, 4, 9, 17]), soft,
+                                       params, x_before=x, positives_per_anchor=positives,
+                                       negatives_per_anchor=negatives, seed=seed))
+        parts.append(partition_fixture(seed=seed)[0])
+    for part in parts:
+        assert part.others.shape[0] == part.anchor.size
+        assert ((0 <= part.others) & (part.others < len(part.x))).all()
+
+
 def test_partition_memory_matches_original_view_of_after_rows():
     part, params, x_after, _ = partition_fixture()
     assert np.allclose(part.memory, predict(params, x_after[part.hie]), atol=1e-15)
