@@ -14,8 +14,7 @@ is spread evenly.
 import numpy as np
 
 from graphunlearn.datagen import SbmSpec, generate_sbm
-from graphunlearn.graph import (PropagationConfig, normalized_adjacency,
-                                propagation_column)
+from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.influence import khop_hie_capped, select_hie
 
 spec = SbmSpec(n=120, classes=3, p_in=0.30, p_out=0.004, num_features=8,
@@ -41,8 +40,9 @@ ranking = select_hie(op, config, seeds, soft, theta=0.0,
                      budget=graph.n - seeds.size, mode="static")
 score = np.zeros(graph.n)
 score[ranking.nodes] = ranking.scores
-# raw mass: the strongest single-seed propagation weight a node receives
-raw = np.max([np.abs(propagation_column(op, config, int(u))) for u in seeds], axis=0)
+# raw mass: the strongest single-seed propagation weight a node receives,
+# read off the seeds' columns of Pi (the images of their one-hot vectors)
+raw = np.abs(propagate(op, np.eye(graph.n)[:, seeds], config)).max(axis=1)
 
 touched = ranking.scores[ranking.scores > 0]
 print(f"\n{touched.size} candidates receive any influence; "

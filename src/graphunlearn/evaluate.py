@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, MetricError
-from .graph import Graph, build_graph, edge_keys
+from .graph import Graph, _as_mask, build_graph, edge_keys, node_ids
 from .model import ModelParams, predict
 from .unlearn import UnlearnRequest
 
@@ -43,12 +43,12 @@ def auc(scores, labels) -> float:
 
 
 def f1_score(pred_labels, true_labels, mask) -> float:
-    """Micro-averaged F1 over the masked nodes (equals accuracy here)."""
-    mask = np.asarray(mask)
-    ids = np.flatnonzero(mask) if mask.dtype == bool else np.asarray(mask, dtype=np.int64)
+    """Micro-averaged F1 over the nodes of a bool mask (equals accuracy here)."""
+    truth = np.asarray(true_labels, dtype=np.int64)
+    ids = np.flatnonzero(_as_mask(truth.size, mask, "mask"))
     if ids.size == 0:
         raise MetricError("cannot score an empty node set")
-    truth = np.asarray(true_labels, dtype=np.int64)[ids]
+    truth = truth[ids]
     if np.any(truth < 0):
         raise MetricError("masked nodes must all carry labels")
     pred = np.asarray(pred_labels, dtype=np.int64)[ids]
@@ -87,8 +87,9 @@ def mia_attack(params: ModelParams, x_probe: np.ndarray, ue,
     x_probe holds the propagated rows the attacker queries with, which
     for revoked entities is the data as it looked before removal.
     """
-    ue = np.unique(np.asarray(ue, dtype=np.int64))
-    pool = np.unique(np.asarray(non_member_pool, dtype=np.int64))
+    x_probe = np.asarray(x_probe, dtype=np.float64)
+    ue = node_ids(ue, x_probe.shape[0], "member")
+    pool = node_ids(non_member_pool, x_probe.shape[0], "non-member pool node")
     pool = pool[~np.isin(pool, ue)]
     if ue.size == 0:
         raise ConfigError("membership attack needs at least one member")
@@ -98,7 +99,7 @@ def mia_attack(params: ModelParams, x_probe: np.ndarray, ue,
     non_members = np.sort(rng.choice(pool, size=ue.size, replace=False))
 
     probes = np.concatenate([ue, non_members])
-    soft = predict(params, np.asarray(x_probe, dtype=np.float64)[probes])
+    soft = predict(params, x_probe[probes])
     scores = posterior_attack_scores(soft)
     labels = np.concatenate([np.ones(ue.size, bool), np.zeros(non_members.size, bool)])
     return AttackReport(
@@ -130,7 +131,8 @@ def sample_noise_edges(graph: Graph, count: int, seed: int) -> list:
     if np.unique(labels[train][labels[train] >= 0]).size < 2:
         raise DataError("need at least two labels among training nodes to cross")
     rng = np.random.default_rng(seed)
-    existing = set(map(tuple, graph.undirected_edges().tolist()))
+    n = graph.n
+    existing = set(edge_keys(graph.undirected_edges(), n).tolist())
     train, labels = train.tolist(), labels.tolist()
     chosen: set = set()
     attempts = 0
@@ -143,11 +145,11 @@ def sample_noise_edges(graph: Graph, count: int, seed: int) -> list:
         u, v = train[i], train[j]
         if u == v or labels[u] == labels[v] or labels[u] < 0 or labels[v] < 0:
             continue
-        key = (min(u, v), max(u, v))
+        key = min(u, v) * n + max(u, v)  # edge_keys' key, in Python ints
         if key in chosen or key in existing:
             continue
         chosen.add(key)
-    return sorted(chosen)
+    return [divmod(key, n) for key in sorted(chosen)]
 
 
 def edge_attack_run(graph: Graph, rho: float, pipeline, seed: int) -> EdgeAttackReport:

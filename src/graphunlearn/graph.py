@@ -101,6 +101,20 @@ def edge_keys(edges, n: int) -> np.ndarray:
     return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
+def node_ids(ids, n: int, name: str) -> np.ndarray:
+    """A node-id set as sorted unique int64: ConfigError unless whole
+    numbers, IndexError naming the smallest id outside [0, n)."""
+    arr = np.asarray(ids)
+    if arr.size and arr.dtype.kind not in "iu" and not (
+            arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+        raise ConfigError(f"{name} ids must be integers")
+    out = np.unique(arr.astype(np.int64))
+    bad = out[(out < 0) | (out >= n)]
+    if bad.size:
+        raise IndexError(f"{name} {int(bad[0])} outside [0, {n})")
+    return out
+
+
 def build_graph(n, edges, features, labels, train_mask, test_mask) -> Graph:
     """Construct a validated Graph from an edge list.
 
@@ -240,19 +254,19 @@ def propagate(op: SparseOperator, x: np.ndarray, config: PropagationConfig) -> n
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != op.n:
         raise ShapeError(f"input has {x.shape[0]} rows, operator expects {op.n}")
-    w = config.weights
-    out = w[0] * x
-    cur = x
-    for l in range(1, config.k + 1):
-        cur = op.matrix @ cur
-        out = out + w[l] * cur
+    out = config.weights[0] * x
+    add_hops(op, config, out, x, 0)
     return out
 
 
-def propagation_column(op: SparseOperator, config: PropagationConfig, u: int) -> np.ndarray:
-    """Column u of Pi = sum_l w_l S^l, i.e. Pi[:, u], via a one-hot solve."""
-    if not 0 <= u < op.n:
-        raise IndexError(f"node {u} out of range for operator with n={op.n}")
-    e = np.zeros(op.n, dtype=np.float64)
-    e[u] = 1.0
-    return propagate(op, e, config)
+def add_hops(op: SparseOperator, config: PropagationConfig, out: np.ndarray,
+             cur: np.ndarray, done: int) -> None:
+    """Add hops done+1..k to out in place, given cur = S^done x: the one hop loop.
+
+    S @ C sums each entry over neighbours in ascending column order for
+    a vector and a block alike, so a column's bits never depend on its
+    block or on the route that reached hop `done`."""
+    w = config.weights
+    for l in range(done + 1, config.k + 1):
+        cur = op.matrix @ cur
+        out += w[l] * cur

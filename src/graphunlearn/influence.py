@@ -26,11 +26,12 @@ sparse product while the block holds at most SPARSE_SHARE of its
 entries, and once it holds more the remaining hops run densely, over
 sub-blocks of at most max(1, DENSE_ENTRIES // n) seeds, so memory never
 grows as n times |UE|.  An expanding-mode pick's column is hop 1 read
-off S^T, then k - 1 products over the whole graph.  Every route gives
-the bits of propagation_column.  Still O(n) per seed: the soft-label
-similarity z @ z[u], computed in full so its rounding never depends on
-the ball.  Still O(n) per greedy round: rescoring every node, and in
-expanding mode the pick's hops after the first.
+off S^T, then k - 1 products over the whole graph; every dense hop is
+propagate's own loop, graph.add_hops, and every route gives the bits of
+propagate on the seed's one-hot vector.  Still O(n) per seed: the
+soft-label similarity z @ z[u], computed in full so its rounding never
+depends on the ball.  Still O(n) per greedy round: rescoring every
+node, and in expanding mode the pick's hops after the first.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .fileio import write_text
-from .graph import Graph, PropagationConfig, SparseOperator
+from .graph import Graph, PropagationConfig, SparseOperator, add_hops, node_ids
 
 SELECTION_MODES = ("expanding", "static")
 # A block of seed columns takes its next hop as a sparse product while it
@@ -65,22 +66,11 @@ def _check_soft_labels(z: np.ndarray, n: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != n:
         raise DataError(f"soft labels must be (n, classes) with n={n}, got {z.shape}")
+    if not np.isfinite(z).all() or (z < 0.0).any():
+        raise DataError("soft labels must be finite and nonnegative")
     if np.abs(z.sum(axis=1) - 1.0).max() > 1e-6:
         raise DataError("soft label rows must sum to 1 within 1e-6")
     return z
-
-
-def _seed_ids(ue, n: int) -> np.ndarray:
-    """Sorted unique seed ids: ConfigError unless whole numbers,
-    IndexError unless in [0, n)."""
-    ids = np.asarray(ue)
-    if ids.size and ids.dtype.kind not in "iu" and not (
-            ids.dtype.kind == "f" and np.isfinite(ids).all() and (ids == np.trunc(ids)).all()):
-        raise ConfigError("seed node ids must be integers")
-    seeds = np.unique(ids.astype(np.int64))
-    if seeds.size and (seeds[0] < 0 or seeds[-1] >= n):
-        raise IndexError(f"seed node outside [0, {n})")
-    return seeds
 
 
 def _safe_ratio(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
@@ -91,7 +81,7 @@ def _safe_ratio(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
 
 def _pick_column(op: SparseOperator, s_t: sp.csr_matrix, config: PropagationConfig,
                  u: int) -> np.ndarray:
-    """propagation_column(op, config, u) with hop 1 read off row u of S^T.
+    """Column u of Pi (propagate on e_u) with hop 1 read off row u of S^T.
 
     A one-hot csr_matvec adds S[v, u] * 1.0 to +0.0 terms, so the row of
     S^T is its exact result; the later hops are propagate's own.
@@ -104,10 +94,8 @@ def _pick_column(op: SparseOperator, s_t: sp.csr_matrix, config: PropagationConf
         cur = np.zeros(op.n)
         lo, hi = s_t.indptr[u], s_t.indptr[u + 1]
         cur[s_t.indices[lo:hi]] = s_t.data[lo:hi]
-        out = out + w[1] * cur
-        for l in range(2, config.k + 1):
-            cur = op.matrix @ cur
-            out = out + w[l] * cur
+        out += w[1] * cur
+        add_hops(op, config, out, cur, 1)
     return out
 
 
@@ -146,20 +134,15 @@ def _fold_dense_tail(agg, op: SparseOperator, config: PropagationConfig, done: i
                      z: np.ndarray) -> None:
     """Run hops done+1..k densely, DENSE_ENTRIES at a time, and fold.
 
-    cur and out hold hop `done` and the partial sum as sparse rows.  S @ C
-    sums each entry over neighbours in ascending column order, as
-    csr_matvec does, so every column keeps its bits; each is then folded
-    in seed order with the ufuncs of a whole-graph column.
+    cur and out hold hop `done` and the partial sum as sparse rows; each
+    sub-block continues densely through add_hops, and each column is then
+    folded in seed order with the ufuncs of a whole-graph column.
     """
-    n, w = op.n, config.weights
-    width = max(1, DENSE_ENTRIES // n)
+    width = max(1, DENSE_ENTRIES // op.n)
     for lo in range(0, block.size, width):
         hi = min(lo + width, block.size)
-        c = cur[lo:hi].T.toarray()
         acc = out[lo:hi].T.toarray()
-        for l in range(done + 1, config.k + 1):
-            c = op.matrix @ c
-            acc += w[l] * c
+        add_hops(op, config, acc, cur[lo:hi].T.toarray(), done)
         for j, u in enumerate(block[lo:hi]):
             _fold_column(agg, acc[:, j], z @ z[u])
 
@@ -168,14 +151,15 @@ def _fold_seed_block(agg, op: SparseOperator, s_t: sp.csr_matrix,
                      config: PropagationConfig, seeds: np.ndarray, z: np.ndarray) -> None:
     """Fold the seeds' columns into agg, BLOCK_ENTRIES at a time.
 
-    Gives the same bits as folding propagation_column seed by seed.  Row
-    b of `cur` is (S^l e_u)^T.  Hop 1 is row u of S^T, i.e. column u of
-    S, which a one-hot csr_matvec returns exactly (it adds S[v, u] * 1.0
-    to +0.0 terms).  While the block is sparse, B @ S^T with sorted rows
-    sums each entry over neighbours in ascending column order, as
-    csr_matvec does, and the terms it skips are exact zeros; once more
-    than SPARSE_SHARE of the block is filled, the remaining hops run
-    densely.
+    Gives the same bits as folding propagate's one-hot columns seed by
+    seed.  Row b of `cur` is (S^l e_u)^T.  Hop 1 is row u of S^T, i.e.
+    column u of S, which a one-hot csr_matvec returns exactly (it adds
+    S[v, u] * 1.0 to +0.0 terms).  While the block is sparse, B @ S^T
+    with sorted rows sums each entry over neighbours in ascending column
+    order, as csr_matvec does, and the terms it skips are exact zeros;
+    once more than SPARSE_SHARE of the block is filled, the remaining
+    hops run densely.  Only a product needs sorted rows: the sums, the
+    sparse fold and the dense conversion read each entry alone.
     """
     n, w, k = op.n, config.weights, config.k
     width = max(1, BLOCK_ENTRIES // n)
@@ -186,9 +170,10 @@ def _fold_seed_block(agg, op: SparseOperator, s_t: sp.csr_matrix,
         out = w[0] * cur
         done = 0
         while done < k and (done == 0 or cur.nnz <= SPARSE_SHARE * block.size * n):
+            if done:
+                cur.sort_indices()
             done += 1
             cur = s_t[block] if done == 1 else cur @ s_t
-            cur.sort_indices()
             out = out + w[done] * cur
         if done == k:
             _fold_sparse(agg, out, block, z)
@@ -231,7 +216,7 @@ def select_hie(op: SparseOperator, config: PropagationConfig, ue,
     if budget < 0:
         raise ConfigError(f"budget must be nonnegative, got {budget}")
     n = op.n
-    ue = _seed_ids(ue, n)
+    ue = node_ids(ue, n, "seed node")
     if ue.size == 0:
         raise ConfigError("unlearned entity set must not be empty")
     z = _check_soft_labels(soft_labels, n)
@@ -273,7 +258,7 @@ def khop_hie_capped(graph: Graph, ue, hops: int, budget: int) -> HieSelection:
 
     if hops < 0 or budget < 0:
         raise ConfigError(f"hops and budget must be nonnegative, got {hops} and {budget}")
-    seeds = _seed_ids(ue, graph.n)
+    seeds = node_ids(ue, graph.n, "seed node")
     # hop count from the nearest seed, inf beyond `hops` or unreachable
     dist = dijkstra(graph.adjacency(), indices=seeds, unweighted=True,
                     limit=hops, min_only=True)

@@ -55,7 +55,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, RequestError
 from .fileio import read_json_object, write_text
-from .graph import Graph, build_graph, edge_keys
+from .graph import Graph, build_graph, edge_keys, node_ids
 from .model import (ModelParams, StepBuffers, backprop_cached, forward_cache,
                     optimise, predict, softmax)
 
@@ -137,10 +137,7 @@ def check_request(graph: Graph, request: UnlearnRequest) -> np.ndarray:
     Raises IndexError for the first node outside [0, n) and RequestError
     for the first node that is not part of the training set.
     """
-    ue = transform_request(request)
-    bad = ue[(ue < 0) | (ue >= graph.n)]
-    if bad.size:
-        raise IndexError(f"request node {int(bad[0])} outside [0, {graph.n})")
+    ue = node_ids(transform_request(request), graph.n, "request node")
     outside = ue[~graph.train_mask[ue]]
     if outside.size:
         raise RequestError(f"node {int(outside[0])} is not in the training set")
@@ -246,8 +243,8 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
         raise ConfigError("positives and negatives per anchor must be nonnegative")
     num_classes = original_params.num_classes
     x_after = np.asarray(x_after, dtype=np.float64)
-    ue = np.unique(np.asarray(ue, dtype=np.int64))
-    hie = np.unique(np.asarray(hie, dtype=np.int64))
+    ue = node_ids(ue, graph_after.n, "unlearned entity")
+    hie = node_ids(hie, graph_after.n, "influenced node")
     if np.intersect1d(ue, hie).size:
         raise ConfigError("unlearned entities cannot be selected as influenced nodes")
     keep = np.ones(graph_after.n, dtype=bool)

@@ -11,7 +11,7 @@ import pytest
 from graphunlearn.datagen import SbmSpec
 from graphunlearn.errors import ConfigError
 from graphunlearn.graph import (Graph, PropagationConfig, SparseOperator, build_graph,
-                                propagation_column)
+                                propagate)
 from graphunlearn.influence import (SELECTION_MODES, HieSelection, _check_soft_labels,
                                     _safe_ratio)
 from graphunlearn.model import ModelParams
@@ -190,6 +190,17 @@ def influence_oracle(pi, soft, seeds):
         reached = total > 0.0
         score[reached] += channel.max(axis=1)[reached] / total[reached]
     return score
+
+
+def propagation_column(op: SparseOperator, config: PropagationConfig, u: int) -> np.ndarray:
+    """Column u of Pi = sum_l w_l S^l, i.e. Pi[:, u]: propagate on the one-hot e_u.
+
+    The reference every column route of select_hie must match bit for
+    bit; it shares no route with them but propagate's own.
+    """
+    e = np.zeros(op.n)
+    e[u] = 1.0
+    return propagate(op, e, config)
 
 
 def select_hie_per_column(op: SparseOperator, config: PropagationConfig, ue,

@@ -15,8 +15,7 @@ import pytest
 from graphunlearn.cli import main as cli_main
 from graphunlearn.datagen import SbmSpec, generate_sbm
 from graphunlearn.evaluate import edge_attack_run, mia_attack
-from graphunlearn.graph import (PropagationConfig, normalized_adjacency,
-                                propagate, propagation_column)
+from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.influence import select_hie
 from graphunlearn.model import StepBuffers, cross_entropy, init_model, predict, train
 from graphunlearn.pipeline import (Pipeline, RunConfig, retrain_state,
@@ -26,7 +25,7 @@ from graphunlearn.unlearn import (FinetuneBuffers, UnlearnRequest, apply_removal
                                   finetune, fused_loss, prepare_partition)
 
 from conftest import (dense_pi, grad_check, influence_oracle, make_graph,
-                      random_connected_graph, walk_pi_matrix)
+                      propagation_column, random_connected_graph, walk_pi_matrix)
 
 # ---------------------------------------------------------------------------
 # Pinned study configuration for the directional experiments (05-08).

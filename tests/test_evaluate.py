@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from graphunlearn.errors import ConfigError, DataError, MetricError
+from graphunlearn.errors import ConfigError, DataError, MaskError, MetricError
 from graphunlearn.evaluate import (EdgeAttackReport, auc, edge_attack_run,
                                    f1_score, mia_attack,
                                    posterior_attack_scores,
@@ -106,7 +106,7 @@ def test_f1_basic_values():
     assert f1_score(pred, truth, np.ones(5, dtype=bool)) == 0.0
     pred2 = truth.copy()
     pred2[0] = 2
-    assert f1_score(pred2, truth, [0, 1, 2, 3]) == pytest.approx(0.75)
+    assert f1_score(pred2, truth, np.arange(5) < 4) == pytest.approx(0.75)
 
 
 def test_f1_errors():
@@ -114,6 +114,11 @@ def test_f1_errors():
         f1_score([0], [0], np.zeros(1, dtype=bool))
     with pytest.raises(MetricError):
         f1_score([0, 0], [0, -1], np.ones(2, dtype=bool))
+    # only a bool mask of the labels' shape names the scored nodes
+    with pytest.raises(MaskError):
+        f1_score([0, 0], [0, 0], [0, 1])
+    with pytest.raises(MaskError):
+        f1_score([0, 0], [0, 0], np.ones(3, dtype=bool))
 
 
 # --------------------------------------------------------------- attack scores
@@ -177,6 +182,21 @@ def test_mia_pool_too_small_or_no_members():
         mia_attack(params, x, np.arange(6), np.arange(6, 10), seed=0)
     with pytest.raises(ConfigError):
         mia_attack(params, x, [], np.arange(10), seed=0)
+
+
+@pytest.mark.parametrize("members, pool, error", [
+    ([-1, 2], np.arange(3, 10), IndexError),   # -1 used to probe the last row
+    ([0, 10], np.arange(2, 10), IndexError),
+    ([0.5, 3.7], np.arange(5, 10), ConfigError),  # used to run as members 0 and 3
+    ([0, 1], [5, -1, 6], IndexError),
+    ([0, 1], [5.5, 6, 7], ConfigError),
+], ids=["member-minus-one", "member-past-n", "member-fraction", "pool-minus-one",
+        "pool-fraction"])
+def test_mia_rejects_bad_node_ids(members, pool, error):
+    params = identity_head(np.zeros((2, 2)))
+    x = np.zeros((10, 2))
+    with pytest.raises(error, match="outside" if error is IndexError else "integers"):
+        mia_attack(params, x, members, pool, seed=0)
 
 
 # ----------------------------------------------------------- noise edge sampler

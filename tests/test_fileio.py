@@ -273,3 +273,18 @@ def test_fileio_is_the_only_module_touching_the_disk():
                         isinstance(func, ast.Attribute) and func.attr in disk_methods:
                     found.append(f"{path.name}:{node.lineno} {ast.unparse(func)}()")
     assert found == []
+
+
+def test_graph_is_the_only_module_multiplying_by_the_operator():
+    # every product with S outside graph goes through propagate or
+    # add_hops, so the series has one hop loop
+    src = Path(graphunlearn.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+                    and isinstance(node.left, ast.Attribute) and node.left.attr == "matrix":
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []

@@ -3,10 +3,9 @@ import pytest
 
 from graphunlearn.errors import (ConfigError, DataError, MaskError, ShapeError)
 from graphunlearn.graph import (PropagationConfig, build_graph, edge_keys,
-                                normalized_adjacency, propagate,
-                                propagation_column)
+                                normalized_adjacency, propagate)
 
-from conftest import (dense_operator, dense_pi, make_graph,
+from conftest import (dense_operator, dense_pi, make_graph, propagation_column,
                       random_connected_graph)
 
 
@@ -313,11 +312,3 @@ def test_column_equals_dense_pi_column():
     pi = dense_pi(g, 1.0, cfg.weights)
     for u in range(6):
         assert np.allclose(propagation_column(op, cfg, u), pi[:, u], atol=1e-12)
-
-
-def test_column_rejects_bad_node(path3):
-    op = normalized_adjacency(path3, r=1.0)
-    with pytest.raises(IndexError):
-        propagation_column(op, PropagationConfig.sgc(1), 3)
-    with pytest.raises(IndexError):
-        propagation_column(op, PropagationConfig.sgc(1), -1)

@@ -205,6 +205,17 @@ def test_select_rejects_non_finite_theta(theta):
         select_hie(op, cfg, ue=[0], soft_labels=z, theta=theta, budget=4, mode="expanding")
 
 
+@pytest.mark.parametrize("row", [[math.nan, math.nan], [math.inf, -math.inf], [1.5, -0.5]],
+                         ids=["nan", "inf", "negative"])
+def test_select_rejects_soft_labels_that_are_not_distributions(row):
+    # each row used to pass the sum check (a NaN sum compares false), and
+    # a NaN row picked the whole budget at score 2.0
+    _, op, cfg, z = star_fixture()
+    z[3] = row
+    with pytest.raises(DataError, match="finite and nonnegative"):
+        select_hie(op, cfg, ue=[0], soft_labels=z, theta=0.0, budget=4, mode="expanding")
+
+
 @pytest.mark.parametrize("ue", [[0.5, 1.7], [0.0, math.nan], ["0"], [True]])
 def test_seed_ids_must_be_integers(ue):
     # float ids used to be truncated: [0.5, 1.7] ran as seeds 0 and 1

@@ -186,6 +186,20 @@ def test_partition_rejects_overlap():
                           negatives_per_anchor=5, seed=0)
 
 
+@pytest.mark.parametrize("ue, hie, error", [
+    ([0], [1, -1], IndexError),       # HIE -1 used to mark the last node
+    ([-1], [1, 2], IndexError),
+    ([1.5], [2, 3], ConfigError),     # UE 1.5 used to run as node 1
+    ([0], [1.5, 2], ConfigError),
+], ids=["hie-minus-one", "ue-minus-one", "ue-fraction", "hie-fraction"])
+def test_partition_rejects_bad_node_ids(ue, hie, error):
+    g, op, cfg, x, params = pipeline_fixture()
+    soft = predict(params, x)
+    with pytest.raises(error, match="outside" if error is IndexError else "integers"):
+        prepare_partition(g, x, ue, hie, soft, params, x_before=x,
+                          positives_per_anchor=3, negatives_per_anchor=3, seed=0)
+
+
 def test_partition_rejects_negative_sample_counts():
     g, op, cfg, x, params = pipeline_fixture()
     soft = predict(params, x)
