@@ -31,7 +31,7 @@ print(f"trained: test F1 {test_f1(state):.3f}")
 # pick thirty training nodes and ask for them to be forgotten
 rng = np.random.default_rng(3)
 ue = np.sort(rng.choice(graph.train_nodes(), size=30, replace=False))
-request = UnlearnRequest(kind="node", nodes=tuple(int(v) for v in ue))
+request = UnlearnRequest(kind="node", nodes=ue)
 print("removing nodes:", ue.tolist())
 
 outcome = unlearn_state(state, request, cfg, seed=1)

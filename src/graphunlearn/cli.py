@@ -38,8 +38,7 @@ from .influence import write_hie_csv
 from .model import load_checkpoint, save_checkpoint
 from .pipeline import (Pipeline, RunConfig, loaded_state, propagate_graph,
                        retrain_state, test_f1, train_state, unlearn_state)
-from .unlearn import (UnlearnRequest, check_request, read_request,
-                      write_request)
+from .unlearn import UnlearnRequest, check_request, read_request, write_request
 
 STAGES = ("gen", "train", "unlearn", "retrain", "attack")
 
@@ -75,11 +74,8 @@ def _write_metrics(out: Path, stage: str, cfg: RunConfig, seed: int, values: dic
 
 
 def _load_dataset(cfg: RunConfig, out: Path):
-    return load_graph(_data_path(cfg, out, "edges"),
-                      _data_path(cfg, out, "features"),
-                      _data_path(cfg, out, "labels"),
-                      _data_path(cfg, out, "train_mask"),
-                      _data_path(cfg, out, "test_mask"))
+    return load_graph(*(_data_path(cfg, out, name) for name in
+                        ("edges", "features", "labels", "train_mask", "test_mask")))
 
 
 def cmd_gen(cfg: RunConfig, out: Path, seed: int) -> None:
@@ -97,8 +93,7 @@ def cmd_gen(cfg: RunConfig, out: Path, seed: int) -> None:
     train_ids = graph.train_nodes()
     count = max(1, int(round(cfg.gen_ue_fraction * train_ids.size)))
     ue = np.sort(rng.choice(train_ids, size=count, replace=False))
-    write_request(UnlearnRequest(kind="node", nodes=tuple(int(v) for v in ue)),
-                  out / _FILES["request"])
+    write_request(UnlearnRequest(kind="node", nodes=ue), out / _FILES["request"])
     write_text(out / "resolved_config.json",
                json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n")
 

@@ -166,14 +166,12 @@ def edge_attack_run(graph: Graph, rho: float, pipeline, seed: int) -> EdgeAttack
         raise ConfigError("attack ratio selects zero edges on this graph")
     injected = sample_noise_edges(graph, count, seed)
 
-    poisoned = build_graph(graph.n,
-                           np.vstack([graph.undirected_edges(), np.asarray(injected)]),
-                           graph.features, graph.labels,
-                           graph.train_mask, graph.test_mask)
+    poisoned = build_graph(graph.n, np.vstack([graph.undirected_edges(), injected]),
+                           graph.features, graph.labels, graph.train_mask, graph.test_mask)
 
     clean_state = pipeline.train(graph)
     poisoned_state = pipeline.train(poisoned)
-    request = UnlearnRequest(kind="edge", edges=tuple(injected))
+    request = UnlearnRequest(kind="edge", edges=injected)
     unlearned_state = pipeline.unlearn(poisoned_state, request)
 
     after = unlearned_state.graph

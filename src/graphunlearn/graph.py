@@ -101,14 +101,32 @@ def edge_keys(edges, n: int) -> np.ndarray:
     return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
+def _int_ids(ids, name: str) -> np.ndarray:
+    """ids as int64 of their own shape, by the one rule of what an id is: ints
+    (not bools) and whole floats within int64 pass, anything else is a ConfigError."""
+    try:
+        arr = np.asarray(ids)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    kind = arr.dtype.kind
+    if kind == "f":
+        ok = ((arr == np.trunc(arr)) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63)).all()
+    else:
+        ok = kind == "i" or kind == "u" and arr.max(initial=0) < 2 ** 63
+    if ok and not isinstance(ids, np.ndarray):  # numpy reads a listed bool as 0 or 1
+        ok = not {bool, np.bool_} & set(map(type, np.asarray(ids, dtype=object).flat))
+    if not ok:
+        raise ConfigError(f"{name} ids must be integers within int64, not bools or fractions")
+    return arr.astype(np.int64, copy=False)
+
+
 def node_ids(ids, n: int, name: str) -> np.ndarray:
-    """A node-id set as sorted unique int64: ConfigError unless whole
-    numbers, IndexError naming the smallest id outside [0, n)."""
-    arr = np.asarray(ids)
-    if arr.size and arr.dtype.kind not in "iu" and not (
-            arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
-        raise ConfigError(f"{name} ids must be integers")
-    out = np.unique(arr.astype(np.int64))
+    """A node-id set as sorted unique int64: ConfigError unless a 1-d list of
+    ids by the id rule, IndexError naming the smallest id outside [0, n)."""
+    arr = _int_ids(ids, name)
+    if arr.ndim != 1:
+        raise ConfigError(f"{name} ids must be a 1-d list, got shape {arr.shape}")
+    out = np.unique(arr)
     bad = out[(out < 0) | (out >= n)]
     if bad.size:
         raise IndexError(f"{name} {int(bad[0])} outside [0, {n})")
@@ -129,14 +147,18 @@ def build_graph(n, edges, features, labels, train_mask, test_mask) -> Graph:
         train_mask, test_mask: (n,) bool arrays.
 
     Raises:
+        ConfigError: n < 0, or an edge endpoint or label that is not an id.
         IndexError: edge endpoint outside [0, n).
-        ShapeError: feature row count differs from n.
+        ShapeError: an odd number of endpoints, or feature row count differs from n.
         DataError: non-finite feature values or malformed labels.
         MaskError: a mask is not an (n,) bool array, or the masks overlap.
     """
     if n < 0:
         raise ConfigError(f"node count must be nonnegative, got {n}")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _int_ids(edges, "edge endpoint")
+    if edges.size % 2:
+        raise ShapeError(f"edges must be (u, v) pairs, got shape {edges.shape}")
+    edges = edges.reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise IndexError(f"edge endpoint outside [0, {n})")
 
@@ -155,7 +177,7 @@ def build_graph(n, edges, features, labels, train_mask, test_mask) -> Graph:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1).copy()
+    labels = _int_ids(labels, "label").reshape(-1).copy()
     if labels.shape != (n,):
         raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.size and labels.min() < UNLABELED:

@@ -55,7 +55,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, RequestError
 from .fileio import read_json_object, write_text
-from .graph import Graph, build_graph, edge_keys, node_ids
+from .graph import Graph, _int_ids, build_graph, edge_keys, node_ids
 from .model import (ModelParams, StepBuffers, backprop_cached, forward_cache,
                     optimise, predict, softmax)
 
@@ -73,45 +73,33 @@ class UnlearnRequest:
     def __post_init__(self):
         if self.kind not in REQUEST_KINDS:
             raise ConfigError(f"request kind must be one of {REQUEST_KINDS}, got {self.kind!r}")
+        nodes = _int_ids(self.nodes, "request node")
+        edges = _int_ids(self.edges, "request edge")
         if self.kind == "edge":
-            if not self.edges or self.nodes:
-                raise ConfigError("edge requests carry edges and nothing else")
-            norm = []
-            for e in self.edges:
-                u, v = int(e[0]), int(e[1])
-                if u == v:
-                    raise ConfigError(f"self edge ({u}, {v}) is not a valid request entity")
-                norm.append((min(u, v), max(u, v)))
-            object.__setattr__(self, "edges", tuple(sorted(set(norm))))
+            if edges.ndim != 2 or edges.shape[1] != 2 or not edges.size or nodes.size:
+                raise ConfigError("edge requests carry edges, as [u, v] pairs, and nothing else")
+            for u, v in edges[edges[:, 0] == edges[:, 1]][:1].tolist():  # the first self edge
+                raise ConfigError(f"self edge ({u}, {v}) is not a valid request entity")
+            nodes, edges = (), tuple(sorted(set(map(tuple, np.sort(edges, axis=1).tolist()))))
         else:
-            if not self.nodes or self.edges:
-                raise ConfigError(f"{self.kind} requests carry nodes and nothing else")
-            object.__setattr__(self, "nodes", tuple(sorted({int(v) for v in self.nodes})))
+            if nodes.ndim != 1 or not nodes.size or edges.size:
+                raise ConfigError(f"{self.kind} requests carry nodes, as a list, and nothing else")
+            nodes, edges = tuple(np.unique(nodes).tolist()), ()
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "UnlearnRequest":
-        """Request from its JSON form; node ids must be ints, not bools or floats."""
+        """Request from its JSON form: the keys kind, nodes and edges only."""
+        for key in doc:
+            if key not in ("kind", "nodes", "edges"):
+                raise ConfigError(f"unknown request key {key!r}")
         if "kind" not in doc:
             raise ConfigError("request document is missing 'kind'")
-        nodes, edges = doc.get("nodes", ()), doc.get("edges", ())
-        if not _is_list(nodes) or not all(map(_is_node_id, nodes)):
-            raise ConfigError("request 'nodes' must be a list of integer node ids")
-        if not _is_list(edges) or not all(
-                _is_list(e) and len(e) == 2 and all(map(_is_node_id, e)) for e in edges):
-            raise ConfigError("request 'edges' must be a list of [u, v] integer pairs")
-        return cls(kind=doc["kind"], nodes=tuple(nodes),
-                   edges=tuple(tuple(e) for e in edges))
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, (list, tuple))
-
-
-def _is_node_id(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        return cls(**doc)
 
 
 def read_request(path) -> UnlearnRequest:
@@ -124,11 +112,7 @@ def write_request(request: UnlearnRequest, path) -> None:
 
 def transform_request(request: UnlearnRequest) -> np.ndarray:
     """Unlearned-entity node set: the nodes themselves, or edge endpoints."""
-    if request.kind == "edge":
-        nodes = sorted({v for e in request.edges for v in e})
-    else:
-        nodes = list(request.nodes)
-    return np.asarray(nodes, dtype=np.int64)
+    return np.unique(np.asarray(request.edges or request.nodes, dtype=np.int64))
 
 
 def check_request(graph: Graph, request: UnlearnRequest) -> np.ndarray:
@@ -260,10 +244,10 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     if pool.size == 0:
         raise DataError("no non-training node outside the unlearned set to draw "
                         "a forgetting target from")
-    by_class = [pool[predicted[pool] == c] for c in range(num_classes)]
+    by_class = _by_class(pool, predicted, num_classes)
     target = np.empty((ue.size, num_classes))
     for i, u in enumerate(ue):
-        cands = by_class[predicted[u]]
+        cands = by_class[predicted[u]][0]
         if cands.size == 0:
             cands = pool
         target[i] = original_soft[cands[rng.integers(len(cands))]]

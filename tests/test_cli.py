@@ -511,7 +511,12 @@ def test_checkpoint_dims_beyond_int64_fail_with_error_line(tmp_path, capsys):
     {"kind": "edge", "edges": [1, 2]},
     {"kind": "node", "nodes": [1.5]},
     {"kind": "node", "nodes": [True]},
-], ids=["string-node", "scalar-nodes", "flat-edges", "float-node", "bool-node"])
+    {"kind": "node", "nodes": [1, 10 ** 23]},
+    {"kind": "edge", "edges": [[0, 1, 2]]},
+    {"kind": "edge", "edges": [[0.5, 3.2]]},
+    {"kind": "edge", "edges": [[0, 1]], "node": [5], "weight": 2},
+], ids=["string-node", "scalar-nodes", "flat-edges", "float-node", "bool-node", "huge-node",
+        "triple-edge", "float-edge", "unknown-key"])
 def test_malformed_request_fails_with_error_line(tmp_path, capsys, request_doc):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -521,6 +526,23 @@ def test_malformed_request_fails_with_error_line(tmp_path, capsys, request_doc):
     assert run("unlearn", cfg, out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error=ConfigError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stage", ["unlearn", "retrain", "attack"])
+def test_request_node_beyond_int64_fails_with_error_line_in_every_stage(tmp_path, capsys,
+                                                                       stage):
+    # an id beyond int64 must fail at the request, not overflow in transform_request
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("gen", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    (out / "request.json").write_text(json.dumps({"kind": "node", "nodes": [0, 10 ** 23]}),
+                                      encoding="utf-8")
+    capsys.readouterr()
+    assert run(stage, cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=ConfigError request node ids must be integers")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("node", [-1, BASE_CONFIG["datagen.n"]])

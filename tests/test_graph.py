@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from graphunlearn.errors import (ConfigError, DataError, MaskError, ShapeError)
+from graphunlearn.evaluate import mia_attack
 from graphunlearn.graph import (PropagationConfig, build_graph, edge_keys,
                                 normalized_adjacency, propagate)
+from graphunlearn.influence import khop_hie_capped, select_hie
+from graphunlearn.unlearn import UnlearnRequest, check_request, prepare_partition
 
-from conftest import (dense_operator, dense_pi, make_graph, propagation_column,
-                      random_connected_graph)
+from conftest import (dense_operator, dense_pi, identity_head, make_graph,
+                      propagation_column, random_connected_graph)
 
 
 # ---------------------------------------------------------------- build_graph
@@ -127,6 +130,96 @@ def test_build_rejects_masks_that_are_not_bool_of_shape_n():
         make_graph(3, [], train=np.ones((3, 1), dtype=bool), test=none)
     with pytest.raises(MaskError):
         make_graph(3, [], train=np.ones(2, dtype=bool), test=none)
+
+
+# ------------------------------------------------------ the id rule at each door
+
+def _star():
+    g = make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+                   train=np.array([True, True, True, True, False]))
+    return g, normalized_adjacency(g, r=1.0), PropagationConfig.sgc(1)
+
+
+def _partition(g, ue, hie):
+    x = np.ones((g.n, 2))
+    return prepare_partition(g, x, ue, hie, np.tile([0.6, 0.4], (g.n, 1)),
+                             identity_head(np.eye(2)), x_before=x,
+                             positives_per_anchor=1, negatives_per_anchor=1, seed=0)
+
+
+# each door, fed a node set or the same ids as an edge list
+DOORS = {
+    "build_graph-edges": lambda g, op, cfg, nodes, edges: make_graph(3, edges),
+    "build_graph-labels": lambda g, op, cfg, nodes, edges: make_graph(3, [],
+                                                                      labels=[0, *nodes]),
+    "request-nodes": lambda g, op, cfg, nodes, edges: UnlearnRequest(kind="feature",
+                                                                     nodes=nodes),
+    "request-edges": lambda g, op, cfg, nodes, edges: UnlearnRequest(kind="edge", edges=edges),
+    "select_hie": lambda g, op, cfg, nodes, edges: select_hie(
+        op, cfg, ue=nodes, soft_labels=np.ones((g.n, 1)), theta=0.0, budget=2,
+        mode="expanding"),
+    "khop_hie_capped": lambda g, op, cfg, nodes, edges: khop_hie_capped(g, nodes, 1, 2),
+    "prepare_partition": lambda g, op, cfg, nodes, edges: _partition(g, nodes, [4]),
+    "mia_attack": lambda g, op, cfg, nodes, edges: mia_attack(
+        identity_head(np.zeros((2, 2))), np.zeros((10, 2)), nodes, np.arange(5, 10), seed=0),
+    "check_request": lambda g, op, cfg, nodes, edges: check_request(
+        g, UnlearnRequest.from_dict({"kind": "node", "nodes": nodes})),
+}
+
+BAD_IDS = {  # name: (node set, the same ids as an edge list)
+    "bool": ([1, True], [(1, True)]),
+    "fraction": ([1, 1.5], [(1, 1.5)]),
+    "string": ([1, "3"], [(1, "3")]),
+    "none": ([1, None], [(1, None)]),
+    "int-beyond-int64": ([1, 2 ** 70], [(1, 2 ** 70)]),
+    "float-beyond-int64": ([1, 1e300], [(1, 1e300)]),
+    "triple": (((1, 2, 3),), ((1, 2, 3),)),
+}
+
+
+def _expected_error(door, bad):
+    if bad != "triple" or door == "build_graph-labels":  # labels [0, (1, 2, 3)] are ragged
+        return ConfigError, "ids must be integers within int64"
+    if door == "build_graph-edges":
+        return ShapeError, r"edges must be \(u, v\) pairs"
+    if door == "request-edges":
+        return ConfigError, r"carry edges, as \[u, v\] pairs,"
+    if door in ("request-nodes", "check_request"):  # check_request reads a request
+        return ConfigError, "carry nodes, as a list,"
+    return ConfigError, "ids must be a 1-d list"
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_reads_ids_by_one_rule(door, bad):
+    # no door may read True as 1, 1.5 as 1, "3" as 3 or 1e300 as int64's
+    # minimum, nor a (1, 3) id block as three nodes
+    error, match = _expected_error(door, bad)
+    with pytest.raises(error, match=match):
+        DOORS[door](*_star(), *BAD_IDS[bad])
+
+
+def _fields(result):
+    """What a door returns, comparable: arrays by dtype and values, all else
+    by repr (so a tuple of np.int64 differs from one of Python ints)."""
+    if hasattr(result, "__dataclass_fields__"):
+        return {k: _fields(v) for k, v in vars(result).items() if k != "scatter"}
+    if isinstance(result, list):
+        return [_fields(v) for v in result]
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.tolist()
+    return repr(result)
+
+
+@pytest.mark.parametrize("door", DOORS)
+def test_int_numpy_int_and_whole_float_ids_read_alike(door):
+    results = [_fields(DOORS[door](*_star(), nodes, edges)) for nodes, edges in [
+        ([1, 2], [(1, 2)]),
+        (np.array([1, 2], dtype=np.int64), np.array([[1, 2]], dtype=np.int64)),
+        (np.array([1.0, 2.0]), np.array([[1.0, 2.0]])),
+        ([1.0, 2.0], [(1.0, 2.0)]),  # as JSON reads [1.0, 2.0]
+    ]]
+    assert all(r == results[0] for r in results)
 
 
 def test_graph_arrays_are_immutable(path3):

@@ -155,7 +155,7 @@ def pipeline_fixture(seed=0, n=24, classes=3):
 def partition_fixture(seed=0, ue=(0, 3), hie=(1, 2, 4)):
     g, op, cfg, x, params = pipeline_fixture(seed)
     soft = predict(params, x)
-    req = UnlearnRequest(kind="node", nodes=tuple(int(u) for u in ue))
+    req = UnlearnRequest(kind="node", nodes=ue)
     g_after = apply_removal(g, req)
     op_after = normalized_adjacency(g_after, r=0.5)
     x_after = propagate(op_after, g_after.features, cfg)
