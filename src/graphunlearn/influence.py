@@ -30,7 +30,8 @@ off S^T, then k - 1 products over the whole graph; every dense hop is
 propagate's own loop, graph.add_hops, and every route gives the bits of
 propagate on the seed's one-hot vector.  Still O(n) per seed: the
 soft-label similarity z @ z[u], computed in full so its rounding never
-depends on the ball.  Still O(n) per greedy round: rescoring every
+depends on the ball; the sparse fold gathers its ball entries once per
+sub-block of seeds.  Still O(n) per greedy round: rescoring every
 node, and in expanding mode the pick's hops after the first.
 """
 
@@ -113,15 +114,27 @@ def _fold_column(agg, col: np.ndarray, sim: np.ndarray) -> None:
 def _fold_sparse(agg, out: sp.csr_matrix, block: np.ndarray, z: np.ndarray) -> None:
     """Fold the block's columns, held as the sorted sparse rows of out.
 
-    np.maximum.at / np.add.at walk the entries row by row, so every node
-    sees its seeds in order; the entries out skips are exact zeros.
+    Each seed's similarities z @ z[u] are one full-length product, as
+    for a dense column, written into rows of a buffer of at most
+    DENSE_ENTRIES entries; every sub-block of seeds then gathers its
+    ball's entries with one flat take.  np.maximum.at / np.add.at walk
+    the entries row by row, so every node sees its seeds in order; the
+    entries out skips are exact zeros.
     """
     max_t, sum_t, max_f, sum_f = agg
+    n = z.shape[0]
     col_t = np.abs(out.data)
     sim = np.empty_like(col_t)
-    for b, u in enumerate(block):
-        lo, hi = out.indptr[b], out.indptr[b + 1]
-        sim[lo:hi] = (z @ z[u])[out.indices[lo:hi]]
+    width = max(1, DENSE_ENTRIES // n)
+    buf = np.empty((min(width, block.size), n))
+    for lo in range(0, block.size, width):
+        hi = min(lo + width, block.size)
+        for j, u in enumerate(block[lo:hi]):
+            np.matmul(z, z[u], out=buf[j])
+        first, last = out.indptr[lo], out.indptr[hi]
+        row = np.repeat(np.arange(hi - lo), np.diff(out.indptr[lo:hi + 1]))
+        # "clip" lets take write into out= without buffering; every index is in range
+        np.take(buf, row * n + out.indices[first:last], out=sim[first:last], mode="clip")
     col_f = col_t * sim
     np.maximum.at(max_t, out.indices, col_t)
     np.add.at(sum_t, out.indices, col_t)

@@ -26,6 +26,11 @@ from .unlearn import (FinetuneLog, UnlearnRequest, apply_removal, finetune,
                       prepare_partition, transform_request)
 
 
+# Largest value of an int field.  Sizes and counts beyond it would ask
+# numpy for arrays no machine holds, or overflow its index type.
+INT_LIMIT = 2 ** 31 - 1
+
+
 def _fits(kind: str, value) -> bool:
     """Whether a config value fits a RunConfig field annotated `kind`.
 
@@ -153,8 +158,9 @@ class RunConfig:
         """Raise ConfigError naming the first dotted key whose value has the
         wrong type or lies out of range.
 
-        int fields take integers (not booleans), float fields any finite
-        number, and list fields (eval.rho) lists of finite numbers.
+        int fields take integers (not booleans) up to INT_LIMIT, float
+        fields any finite number, and list fields (eval.rho) lists of
+        finite numbers.
         """
         keys = {name: key for key, name in self._KEYMAP.items()}
         for f in dc_fields(self):
@@ -163,6 +169,8 @@ class RunConfig:
                 expected = {"str": "a string", "int": "an int", "float": "a finite number",
                             "tuple": "a list of finite numbers"}[f.type]
                 raise ConfigError(f"{keys[f.name]} must be {expected}, got {value!r}")
+            if f.type == "int" and value > INT_LIMIT:
+                raise ConfigError(f"{keys[f.name]} must be at most {INT_LIMIT}, got {value}")
         if self.scheme not in ("sgc", "s2gc", "gbp"):
             raise ConfigError("propagation.scheme must be 'sgc', 's2gc' or 'gbp', "
                               f"got {self.scheme!r}")

@@ -55,7 +55,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, RequestError
 from .fileio import read_json_object, write_text
-from .graph import Graph, _int_ids, build_graph, edge_keys, node_ids
+from .graph import Graph, _int_ids, edge_keys, node_ids
 from .model import (ModelParams, StepBuffers, backprop_cached, forward_cache,
                     optimise, predict, softmax)
 
@@ -136,32 +136,49 @@ def apply_removal(graph: Graph, request: UnlearnRequest) -> Graph:
     node     incident edges vanish, the feature row is zeroed, and the
              node leaves the training mask
 
-    Raises what check_request raises, and RequestError when a listed
-    edge does not exist.
+    The new Graph keeps the CSR entries not dropped, in their order, and
+    shares every array the request leaves alone (all are read-only).
+    Raises what check_request raises, and RequestError naming the first
+    listed edge, in sorted order, that does not exist.
     """
     ue = check_request(graph, request)
-    edges = graph.undirected_edges()
-    features = graph.features.copy()
-    train_mask = graph.train_mask.copy()
+    # the row of every CSR entry, and which entries stay (None: all of them)
+    src = (None if request.kind == "feature"
+           else np.repeat(np.arange(graph.n), np.diff(graph.indptr)))
+    keep = None
+    features, train_mask = graph.features, graph.train_mask
 
     if request.kind == "edge":
-        keys = edge_keys(edges, graph.n)
-        drop = edge_keys(request.edges, graph.n)
-        missing = np.flatnonzero(~np.isin(drop, keys))
-        if missing.size:
-            u, v = request.edges[missing[0]]
+        # CSR entries sort like their keys; each listed (u, v) has u < v
+        keys = src * np.int64(graph.n) + graph.indices
+        pairs = np.asarray(request.edges, dtype=np.int64)
+        drop = edge_keys(pairs, graph.n)
+        at = np.searchsorted(keys, drop)
+        found = at < keys.size
+        found[found] = keys[at[found]] == drop[found]
+        if not found.all():
+            u, v = request.edges[np.argmin(found)]
             raise RequestError(f"edge ({u}, {v}) does not exist")
-        edges = edges[~np.isin(keys, drop)]
-    elif request.kind == "feature":
+        keep = np.ones(keys.size, dtype=bool)
+        keep[at] = False
+        keep[np.searchsorted(keys, edge_keys(pairs[:, ::-1], graph.n))] = False
+    else:
+        features = features.copy()
         features[ue] = 0.0
-    else:  # node
-        gone = np.isin(edges[:, 0], ue) | np.isin(edges[:, 1], ue)
-        edges = edges[~gone]
-        features[ue] = 0.0
-        train_mask[ue] = False
+        if request.kind == "node":
+            gone = np.zeros(graph.n, dtype=bool)
+            gone[ue] = True
+            keep = ~(gone[src] | gone[graph.indices])
+            train_mask = train_mask.copy()
+            train_mask[ue] = False
 
-    return build_graph(graph.n, edges, features, graph.labels,
-                       train_mask, graph.test_mask)
+    indptr, indices = graph.indptr, graph.indices
+    if keep is not None:
+        kept = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        indptr, indices = kept[indptr], indices[keep]
+    return Graph(n=graph.n, indptr=indptr, indices=indices, features=features,
+                 labels=graph.labels, train_mask=train_mask, test_mask=graph.test_mask)
 
 
 @dataclass
@@ -244,13 +261,16 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     if pool.size == 0:
         raise DataError("no non-training node outside the unlearned set to draw "
                         "a forgetting target from")
-    by_class = _by_class(pool, predicted, num_classes)
-    target = np.empty((ue.size, num_classes))
-    for i, u in enumerate(ue):
-        cands = by_class[predicted[u]][0]
-        if cands.size == 0:
-            cands = pool
-        target[i] = original_soft[cands[rng.integers(len(cands))]]
+    # one draw per u in UE, in order: an index into the pool members of
+    # u's class (kept ascending), or into the whole pool when there are none
+    grouped = pool[np.argsort(predicted[pool], kind="stable")]
+    count = np.bincount(predicted[pool], minlength=num_classes)
+    cls = predicted[ue]
+    empty = count[cls] == 0
+    draw = rng.integers(0, np.where(empty, pool.size, count[cls]))
+    picked = pool[draw]
+    picked[~empty] = grouped[(np.cumsum(count) - count)[cls[~empty]] + draw[~empty]]
+    target = original_soft[picked]
 
     # split once; an anchor is among the UE/HIE nodes of its own class only
     rest_split = _by_class(rest, predicted, num_classes)
@@ -281,16 +301,19 @@ def _gather(ue, hie, target, memory, positives, negatives,
     def where(ids):
         return sorter[np.searchsorted(order, ids, sorter=sorter)]
 
-    kept = [i for i, pos in enumerate(positives) if len(pos)]
-    lists = [np.concatenate([positives[i], negatives[i]]).astype(np.int64) for i in kept]
-    width = max((len(ids) for ids in lists), default=0)
-    others = np.zeros((len(kept), width), dtype=np.int64)
-    valid = np.zeros((len(kept), width), dtype=bool)
-    positive = np.zeros((len(kept), width), dtype=bool)
-    for a, (i, ids) in enumerate(zip(kept, lists)):
-        others[a, :ids.size] = where(ids)
-        valid[a, :ids.size] = True
-        positive[a, :len(positives[i])] = True
+    # row a: the a-th anchor with positives, its positives then its
+    # negatives, padded; a row-major mask takes the entries in that order
+    num_pos = np.array([len(ids) for ids in positives], dtype=np.int64)
+    num_neg = np.array([len(ids) for ids in negatives], dtype=np.int64)
+    kept = np.flatnonzero(num_pos)
+    col = np.arange((num_pos + num_neg)[kept].max(initial=0))
+    positive = col < num_pos[kept, None]
+    valid = col < (num_pos + num_neg)[kept, None]
+    others = np.zeros(valid.shape, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    others[positive] = where(np.concatenate([none, *positives]))
+    others[valid & ~positive] = where(np.concatenate([none, *negatives])[
+        np.repeat(num_pos > 0, num_neg)])
     flat = np.flatnonzero(valid)
     scatter = sp.csr_matrix((np.ones(flat.size), (others.ravel()[flat], flat)),
                             shape=(x.shape[0], others.size))

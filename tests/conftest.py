@@ -9,12 +9,16 @@ import numpy as np
 import pytest
 
 from graphunlearn.datagen import SbmSpec
-from graphunlearn.errors import ConfigError
+import scipy.sparse as sp
+
+from graphunlearn.errors import ConfigError, DataError, RequestError
 from graphunlearn.graph import (Graph, PropagationConfig, SparseOperator, build_graph,
-                                propagate)
+                                edge_keys, node_ids, propagate)
 from graphunlearn.influence import (SELECTION_MODES, HieSelection, _check_soft_labels,
                                     _safe_ratio)
-from graphunlearn.model import ModelParams
+from graphunlearn.model import ModelParams, predict
+from graphunlearn.unlearn import (EntityPartition, UnlearnRequest, _by_class, _sample_pool,
+                                  check_request)
 
 
 def generate_sbm_materialized(spec: SbmSpec, seed: int) -> Graph:
@@ -480,3 +484,131 @@ class TextbookAdam:
             m_hat = m / (1 - self.beta1 ** self.t)
             v_hat = v / (1 - self.beta2 ** self.t)
             arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+# ------------------------------------------- request-path per-entity oracles
+# The request path as it stood with a Python loop per entity: removal by
+# rebuilding through build_graph, one forgetting-target draw per UE node,
+# one partition row per anchor, and one similarity gather per seed.  The
+# library's array forms must give the same bytes.
+
+def apply_removal_rebuild(graph: Graph, request: UnlearnRequest) -> Graph:
+    """Reference for unlearn.apply_removal: the post-removal edge list,
+    re-derived and rebuilt through build_graph."""
+    ue = check_request(graph, request)
+    edges = graph.undirected_edges()
+    features = graph.features.copy()
+    train_mask = graph.train_mask.copy()
+
+    if request.kind == "edge":
+        keys = edge_keys(edges, graph.n)
+        drop = edge_keys(request.edges, graph.n)
+        missing = np.flatnonzero(~np.isin(drop, keys))
+        if missing.size:
+            u, v = request.edges[missing[0]]
+            raise RequestError(f"edge ({u}, {v}) does not exist")
+        edges = edges[~np.isin(keys, drop)]
+    elif request.kind == "feature":
+        features[ue] = 0.0
+    else:  # node
+        gone = np.isin(edges[:, 0], ue) | np.isin(edges[:, 1], ue)
+        edges = edges[~gone]
+        features[ue] = 0.0
+        train_mask[ue] = False
+
+    return build_graph(graph.n, edges, features, graph.labels,
+                       train_mask, graph.test_mask)
+
+
+def prepare_partition_loop(graph_after, x_after, ue, hie, original_soft, original_params,
+                           x_before, *, positives_per_anchor, negatives_per_anchor, seed):
+    """Reference for unlearn.prepare_partition: one rng.integers call per
+    UE node for its forgetting target, and gather_loop's per-anchor rows."""
+    if positives_per_anchor < 0 or negatives_per_anchor < 0:
+        raise ConfigError("positives and negatives per anchor must be nonnegative")
+    num_classes = original_params.num_classes
+    x_after = np.asarray(x_after, dtype=np.float64)
+    ue = node_ids(ue, graph_after.n, "unlearned entity")
+    hie = node_ids(hie, graph_after.n, "influenced node")
+    if np.intersect1d(ue, hie).size:
+        raise ConfigError("unlearned entities cannot be selected as influenced nodes")
+    keep = np.ones(graph_after.n, dtype=bool)
+    keep[ue] = False
+    keep[hie] = False
+    rest = np.flatnonzero(keep)
+    predicted = np.argmax(original_soft, axis=1)
+
+    rng = np.random.default_rng(seed)
+    outside = ~graph_after.train_mask
+    outside[ue] = False
+    pool = np.flatnonzero(outside)
+    if pool.size == 0:
+        raise DataError("no non-training node outside the unlearned set to draw "
+                        "a forgetting target from")
+    by_class = _by_class(pool, predicted, num_classes)
+    target = np.empty((ue.size, num_classes))
+    for i, u in enumerate(ue):
+        cands = by_class[predicted[u]][0]
+        if cands.size == 0:
+            cands = pool
+        target[i] = original_soft[cands[rng.integers(len(cands))]]
+
+    rest_split = _by_class(rest, predicted, num_classes)
+    neg_split = _by_class(np.concatenate([ue, hie]), predicted, num_classes)
+    positives, negatives = [], []
+    for a, lab in zip(hie, predicted[hie]):
+        positives.append(_sample_pool(rng, *rest_split[lab], positives_per_anchor))
+        same, other = neg_split[lab]
+        negatives.append(_sample_pool(rng, same[same != a], other, negatives_per_anchor))
+
+    memory = predict(original_params, x_after[hie])
+    return gather_loop(ue, hie, target, memory, positives, negatives,
+                       np.asarray(x_before, dtype=np.float64)[ue], x_after)
+
+
+def gather_loop(ue, hie, target, memory, positives, negatives,
+                ue_rows: np.ndarray, x_after: np.ndarray) -> EntityPartition:
+    """Reference for unlearn._gather: others, valid and positive filled
+    one anchor row at a time."""
+    nodes = np.unique(np.concatenate([hie, *positives, *negatives]).astype(np.int64))
+    rows = nodes[~np.isin(nodes, ue)]
+    x = np.concatenate([ue_rows, x_after[rows]])
+    order = np.concatenate([ue, rows])
+    sorter = np.argsort(order)
+
+    def where(ids):
+        return sorter[np.searchsorted(order, ids, sorter=sorter)]
+
+    kept = [i for i, pos in enumerate(positives) if len(pos)]
+    lists = [np.concatenate([positives[i], negatives[i]]).astype(np.int64) for i in kept]
+    width = max((len(ids) for ids in lists), default=0)
+    others = np.zeros((len(kept), width), dtype=np.int64)
+    valid = np.zeros((len(kept), width), dtype=bool)
+    positive = np.zeros((len(kept), width), dtype=bool)
+    for a, (i, ids) in enumerate(zip(kept, lists)):
+        others[a, :ids.size] = where(ids)
+        valid[a, :ids.size] = True
+        positive[a, :len(positives[i])] = True
+    flat = np.flatnonzero(valid)
+    scatter = sp.csr_matrix((np.ones(flat.size), (others.ravel()[flat], flat)),
+                            shape=(x.shape[0], others.size))
+    return EntityPartition(ue=ue, hie=hie, target=target, memory=memory,
+                           positives=positives, negatives=negatives, x=x, rows=rows,
+                           hie_at=where(hie), anchor=where(hie[kept]), others=others,
+                           valid=valid, positive=positive, scatter=scatter)
+
+
+def fold_sparse_per_seed(agg, out: sp.csr_matrix, block: np.ndarray, z: np.ndarray) -> None:
+    """Reference for influence._fold_sparse: each seed's similarities
+    z @ z[u] gathered at its own ball entries."""
+    max_t, sum_t, max_f, sum_f = agg
+    col_t = np.abs(out.data)
+    sim = np.empty_like(col_t)
+    for b, u in enumerate(block):
+        lo, hi = out.indptr[b], out.indptr[b + 1]
+        sim[lo:hi] = (z @ z[u])[out.indices[lo:hi]]
+    col_f = col_t * sim
+    np.maximum.at(max_t, out.indices, col_t)
+    np.add.at(sum_t, out.indices, col_t)
+    np.maximum.at(max_f, out.indices, col_f)
+    np.add.at(sum_f, out.indices, col_f)

@@ -440,16 +440,26 @@ def test_mistyped_config_value_fails_with_error_line(tmp_path, capsys, key, valu
     assert key in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("stage, key", [("gen", "datagen.features"), ("train", "model.hidden")])
-def test_allocation_beyond_address_space_fails_with_error_line(tmp_path, capsys, stage, key):
-    # 10**15 float64 columns need petabytes, past any 2**47-byte address
-    # space, so the allocation fails whatever the overcommit setting
+@pytest.mark.parametrize("stage, key, value", [
+    ("gen", "datagen.features", 10 ** 15),
+    ("train", "model.hidden", 10 ** 15),
+    ("train", "propagation.k", 10 ** 30),
+    ("train", "model.hidden", 2 ** 62),
+    ("gen", "datagen.n", 2 ** 62),
+    ("train", "seed", 2 ** 31),
+], ids=["gen-datagen.features", "train-model.hidden", "train-propagation.k-1e30",
+        "train-model.hidden-2e62", "gen-datagen.n-2e62", "train-seed-2e31"])
+def test_config_int_beyond_limit_fails_with_error_line(tmp_path, capsys, stage, key, value):
+    # only values the validator rejects: a value just under the limit
+    # would have the stage try to allocate it
     out = tmp_path / "run"
     assert run("gen", write_config(tmp_path), out) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    assert run(stage, write_config(tmp_path, {key: 10 ** 15}, name="big.json"), out) == 1
+    assert run(stage, write_config(tmp_path, {key: value}, name="big.json"), out) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error=MemoryError ") and err.count("\n") == 1
+    assert err == f"error=ConfigError {key} must be at most {2 ** 31 - 1}, got {value}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 @pytest.mark.parametrize("name,data", [

@@ -229,6 +229,19 @@ def test_graph_arrays_are_immutable(path3):
         path3.indices[0] = 2
 
 
+def test_build_leaves_the_callers_features_writeable_and_unshared():
+    f = np.zeros((3, 2))
+    v = f[:, 0]
+    g = build_graph(3, [], f, [0, 0, 0], np.ones(3, dtype=bool), np.zeros(3, dtype=bool))
+    v[0] = 5.0
+    assert f.flags.writeable
+    assert g.features[0, 0] == 0.0
+    # a read-only float64 C-contiguous array is kept as it is
+    f.setflags(write=False)
+    assert build_graph(3, [], f, [0, 0, 0], np.ones(3, dtype=bool),
+                       np.zeros(3, dtype=bool)).features is f
+
+
 # ------------------------------------------------------- normalized adjacency
 
 def test_isolated_node_operator_is_identity():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphunlearn import influence
 from graphunlearn.datagen import SbmSpec, generate_sbm
@@ -14,8 +15,9 @@ from graphunlearn.influence import (SELECTION_MODES, HieSelection, khop_hie_capp
 
 from graphunlearn.pipeline import RunConfig
 
-from conftest import (bfs_distances, dense_pi, influence_oracle, make_graph,
-                      random_connected_graph, select_hie_per_column, walk_pi_matrix)
+from conftest import (bfs_distances, dense_pi, fold_sparse_per_seed, influence_oracle,
+                      make_graph, random_connected_graph, select_hie_per_column,
+                      walk_pi_matrix)
 from test_acceptance import EDGE_CONFIG, EDGE_RHOS, EDGE_SPEC
 
 
@@ -394,6 +396,50 @@ def test_unlearned_columns_run_dense_tails_only_on_dense_balls(monkeypatch, ball
     # 26 neighbours at n = 400 fill 7% of the block at hop 1, so hops 2
     # and 3 run dense; picks never take the fold
     assert tails == ([(1, ue.tolist())] if dense else [])
+
+
+@pytest.mark.parametrize("n, dense_entries", [(50, 1 << 15), (400, 3 * 400), (400, 1),
+                                              (40_000, 1 << 15)],
+                         ids=["one-sub-block", "sub-blocks-of-3", "narrow-buffer",
+                              "n-beyond-buffer"])
+def test_sparse_fold_matches_per_seed_oracle(monkeypatch, n, dense_entries):
+    monkeypatch.setattr(influence, "DENSE_ENTRIES", dense_entries)
+    rng = np.random.default_rng(n + dense_entries)
+    for width in (1, 7, 40):
+        block = rng.choice(n, size=width, replace=False)
+        out = sp.random(width, n, density=min(1.0, 30 / n), format="csr", random_state=rng,
+                        data_rvs=lambda k: rng.standard_normal(k))
+        out.sort_indices()
+        z = rng.dirichlet(np.ones(3), size=n)
+        start = rng.random((4, n))
+        got, want = tuple(start.copy()), tuple(start.copy())
+        influence._fold_sparse(got, out, block, z)
+        fold_sparse_per_seed(want, out, block, z)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_select_matches_per_seed_fold_oracle_on_the_sparse_route(monkeypatch, seed):
+    # sparse throughout, with narrow blocks and buffers, so every UE block
+    # folds through _fold_sparse across several sub-blocks
+    monkeypatch.setattr(influence, "SPARSE_SHARE", math.inf)
+    monkeypatch.setattr(influence, "BLOCK_ENTRIES", 30 * 400)
+    monkeypatch.setattr(influence, "DENSE_ENTRIES", 7 * 400)
+    g = sparse_sbm(seed=seed)
+    runs = []
+    for fold in (influence._fold_sparse, fold_sparse_per_seed):
+        monkeypatch.setattr(influence, "_fold_sparse", fold)
+        picks = []
+        for k in range(1, 4):
+            cfg = scheme_config(("sgc", "s2gc", "gbp", "custom")[(seed + k) % 4], k)
+            ue = np.random.default_rng(k).choice(g.n, size=70, replace=False)
+            z = np.random.default_rng(k).dirichlet(np.ones(4), size=g.n)
+            for mode in SELECTION_MODES:
+                sel = select_hie(normalized_adjacency(g, 0.5), cfg, ue, z, 0.3, 40, mode)
+                picks.append((sel.nodes.tobytes(), sel.scores.tobytes()))
+        runs.append(picks)
+    assert runs[0] == runs[1]
 
 
 def test_select_memory_stays_narrow_at_the_cli_shape():

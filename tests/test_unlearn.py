@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from graphunlearn.datagen import SbmSpec, generate_sbm
 from graphunlearn.errors import ConfigError, DataError, RequestError
 from graphunlearn.graph import PropagationConfig, normalized_adjacency, propagate
 from graphunlearn.model import init_model, predict, train
-from graphunlearn.unlearn import (FinetuneBuffers, UnlearnRequest, _gather,
-                                  apply_removal, finetune, fused_loss, prepare_partition,
-                                  read_request, transform_request, write_request)
+from graphunlearn.unlearn import (REQUEST_KINDS, EntityPartition, FinetuneBuffers,
+                                  UnlearnRequest, _gather, apply_removal, finetune,
+                                  fused_loss, prepare_partition, read_request,
+                                  transform_request, write_request)
 from graphunlearn.pipeline import RunConfig, retrain_state
 
-from conftest import TextbookAdam, grad_check, identity_head, loss_oracle, make_graph
+from conftest import (TextbookAdam, apply_removal_rebuild, grad_check, identity_head,
+                      gather_loop, loss_oracle, make_graph, prepare_partition_loop)
 
 
 # -------------------------------------------------------------------- requests
@@ -126,6 +131,64 @@ def test_apply_removal_leaves_input_untouched():
     apply_removal(g, UnlearnRequest(kind="node", nodes=(2,)))
     assert np.array_equal(g.indices, snap_idx)
     assert np.array_equal(g.features, snap_feat)
+
+
+def random_sbm(seed, classes=None):
+    """A random sparse SBM and the generator that drew its shape."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 240))
+    c = int(classes or rng.integers(2, 5))
+    spec = SbmSpec(n=n, classes=c, p_in=float(rng.uniform(3.0, 8.0)) * c / n,
+                   p_out=1.0 / n, num_features=c + 1, separation=1.0, train_fraction=0.6)
+    return generate_sbm(spec, seed), rng
+
+
+def assert_same_bytes(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+GRAPH_ARRAYS = ("indptr", "indices", "features", "labels", "train_mask", "test_mask")
+
+
+@pytest.mark.parametrize("kind", REQUEST_KINDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_removal_matches_rebuild_oracle_byte_for_byte(seed, kind):
+    g, rng = random_sbm(seed)
+    if kind == "edge":
+        edges = g.undirected_edges()
+        inside = edges[g.train_mask[edges].all(axis=1)]
+        picks = rng.choice(len(inside), size=min(len(inside), 15), replace=False)
+        # either orientation and a repeat: the request canonicalises them
+        listed = np.vstack([inside[picks], inside[picks[:3], ::-1]])
+        request = UnlearnRequest(kind="edge", edges=listed)
+    else:
+        request = UnlearnRequest(kind=kind, nodes=rng.choice(g.train_nodes(), 12,
+                                                             replace=False))
+    got, want = apply_removal(g, request), apply_removal_rebuild(g, request)
+    assert got.n == want.n
+    for name in GRAPH_ARRAYS:
+        assert_same_bytes(getattr(got, name), getattr(want, name), name)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_removal_names_the_same_missing_edge_as_the_rebuild_oracle(seed):
+    g, rng = random_sbm(seed)
+    g = make_graph(g.n, g.undirected_edges(), train=np.ones(g.n, dtype=bool), test=None)
+    present = g.undirected_edges()[rng.choice(g.num_edges, 6, replace=False)]
+    absent = [(u, v) for u, v in rng.integers(0, g.n, size=(40, 2)).tolist()
+              if u != v and not g.has_edge(u, v)][:4]
+    request = UnlearnRequest(kind="edge", edges=np.vstack([present, absent]))
+    with pytest.raises(RequestError) as want:
+        apply_removal_rebuild(g, request)
+    with pytest.raises(RequestError) as got:
+        apply_removal(g, request)
+    assert str(got.value) == str(want.value)
+    # a graph without edges: the first listed edge is the one named
+    empty = make_graph(4, [], train=np.ones(4, dtype=bool), test=None)
+    with pytest.raises(RequestError, match=r"^edge \(0, 2\) does not exist$"):
+        apply_removal(empty, UnlearnRequest(kind="edge", edges=((2, 0), (1, 3))))
 
 
 # ------------------------------------------------- partition assembly machinery
@@ -300,6 +363,81 @@ def test_partition_fails_without_non_member():
     # every node trains, so there is no non-member to draw a target from
     with pytest.raises(DataError):
         path_partition([True] * 6)
+
+
+def assert_same_partition(got: EntityPartition, want: EntityPartition):
+    for field in dataclasses.fields(EntityPartition):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("positives", "negatives"):
+            assert len(a) == len(b), field.name
+            for x, y in zip(a, b):
+                assert_same_bytes(x, y, field.name)
+        elif field.name == "scatter":
+            assert a.shape == b.shape
+            for part in ("data", "indices", "indptr"):
+                assert_same_bytes(getattr(a, part), getattr(b, part), f"scatter.{part}")
+        else:
+            assert_same_bytes(a, b, field.name)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_partition_matches_loop_oracle_byte_for_byte(monkeypatch, seed):
+    g, rng = random_sbm(seed, classes=int(3 + seed % 3))
+    n, c = g.n, g.num_classes
+    train = rng.permutation(g.train_nodes())
+    ue, hie_train = train[:20], train[20:32]
+    hie = np.concatenate([hie_train, rng.choice(g.test_nodes(), 8, replace=False)])
+    # the original model's classes: c - 1 holds only training UE and HIE
+    # nodes, so no pool member shares it and its UE draw from the whole pool
+    predicted = rng.integers(0, c - 1, n)
+    predicted[np.concatenate([ue[:4], hie_train[:3]])] = c - 1
+    soft = rng.dirichlet(np.ones(c), size=n)
+    soft[np.arange(n), predicted] += 1.0
+    soft /= soft.sum(axis=1, keepdims=True)
+    params = init_model(g.num_features, 4, c, seed)
+    x_after, x_before = rng.standard_normal((2, n, g.num_features))
+
+    made = []
+    default_rng = np.random.default_rng
+
+    def tracked(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", tracked)
+    for positives, negatives in ((3, 3), (0, 4), (5, 0), (1, 7), (6, 2)):
+        for h in (hie, hie[:0]):
+            args = (g, x_after, ue, h, soft, params, x_before)
+            kwargs = dict(positives_per_anchor=positives, negatives_per_anchor=negatives,
+                          seed=seed)
+            got = prepare_partition(*args, **kwargs)
+            want = prepare_partition_loop(*args, **kwargs)
+            assert_same_partition(got, want)
+            # the generator stands where the loop left it
+            assert made[-2].integers(2 ** 62) == made[-1].integers(2 ** 62)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gather_matches_loop_oracle_on_ragged_samples(seed):
+    # prepare_partition draws rows of one width; _gather takes any widths,
+    # and anchors without positives
+    rng = np.random.default_rng(seed)
+    n = 50
+    nodes = rng.permutation(n)
+    ue, hie, outside = np.sort(nodes[:6]), np.sort(nodes[6:14]), nodes[14:]
+    inside = np.concatenate([ue, hie])
+    positives = [np.sort(rng.choice(outside, int(rng.integers(0, 5)), replace=False))
+                 for _ in hie]
+    positives[0] = positives[0][:0]
+    negatives = [np.sort(rng.choice(inside[inside != a], int(rng.integers(0, 6)),
+                                    replace=False)) for a in hie]
+    x_after = rng.standard_normal((n, 3))
+    args = (ue, hie, rng.random((ue.size, 2)), rng.random((hie.size, 2)), positives,
+            negatives, rng.standard_normal((ue.size, 3)), x_after)
+    got, want = _gather(*args), gather_loop(*args)
+    assert_same_partition(got, want)
+    widths = got.valid.sum(axis=1)
+    assert got.anchor.size < hie.size and widths.min() < widths.max()
 
 
 # ------------------------------------------------------------ loss value oracles
