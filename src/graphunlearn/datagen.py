@@ -102,5 +102,4 @@ def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
     train[perm[:cut]] = True
     test[perm[cut:]] = True
 
-    features.setflags(write=False)  # fresh, so build_graph need not copy it
     return build_graph(n, edges, features, labels, train, test)

@@ -206,7 +206,6 @@ def load_graph(edge_path, feature_path, label_path,
                train_mask_path, test_mask_path) -> Graph:
     """Assemble a Graph from its on-disk pieces; n is taken from the features."""
     features = read_features(feature_path)
-    features.setflags(write=False)  # fresh, so build_graph need not copy it
     n = features.shape[0]
     edges = read_edge_list(edge_path)
     _check_range(edge_path, edges, n, DataError)

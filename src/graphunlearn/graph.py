@@ -142,8 +142,7 @@ def build_graph(n, edges, features, labels, train_mask, test_mask) -> Graph:
     Args:
         n: number of nodes.
         edges: (m, 2) int array of (u, v) pairs, 0-indexed.
-        features: (n, f) array, finite float values; copied unless it is a
-            read-only float64 C-contiguous array.
+        features: (n, f) array, finite float values; copied.
         labels: (n,) int array, -1 for unlabeled.
         train_mask, test_mask: (n,) bool arrays.
 
@@ -163,13 +162,7 @@ def build_graph(n, edges, features, labels, train_mask, test_mask) -> Graph:
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise IndexError(f"edge endpoint outside [0, {n})")
 
-    # Graph freezes its arrays: copy one the caller can still write, and
-    # keep a read-only float64 C-contiguous array as it is
-    given = features
-    features = np.ascontiguousarray(given, dtype=np.float64)
-    if (features.flags.writeable and isinstance(given, np.ndarray)
-            and np.may_share_memory(features, given)):
-        features = features.copy()
+    features = np.array(features, dtype=np.float64, order="C")
     if features.ndim != 2 or features.shape[0] != n:
         raise ShapeError(f"features must be (n, f) with n={n}, got {features.shape}")
     if not np.isfinite(features).all():

@@ -216,10 +216,11 @@ def _by_class(ids: np.ndarray, predicted: np.ndarray, num_classes: int) -> list:
     return [(ids[labels == c], ids[labels != c]) for c in range(num_classes)]
 
 
-def _sample_pool(rng, matching: np.ndarray, others: np.ndarray, count: int) -> np.ndarray:
-    """Up to `count` draws without replacement, from matching first, then others."""
+def _sample_pool(rng, matching: np.ndarray, others, count: int) -> np.ndarray:
+    """Up to `count` draws without replacement from matching, then, if
+    matching runs short and others is not None, from others."""
     take = matching[rng.permutation(matching.size)[:count]]
-    if take.size < count:
+    if take.size < count and others is not None:
         extra = others[rng.permutation(others.size)[:count - take.size]]
         take = np.concatenate([take, extra])
     return np.sort(take)
@@ -237,8 +238,11 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     from the non-training nodes outside UE that share u's predicted
     class, or from all of them when none does; DataError when there are
     none at all.  Then each HIE anchor draws its contrastive positives
-    and negatives.  Last, the rows the fine-tune reads are gathered:
-    UE's from x_before, every other node's from x_after.
+    only among the nodes of its own predicted class outside UE and HIE
+    (so an anchor whose class has none gets none and is skipped), and
+    its negatives among the other UE/HIE nodes of its class first, then
+    among the rest of UE and HIE.  Last, the rows the fine-tune reads
+    are gathered: UE's from x_before, every other node's from x_after.
     """
     if positives_per_anchor < 0 or negatives_per_anchor < 0:
         raise ConfigError("positives and negatives per anchor must be nonnegative")
@@ -277,7 +281,7 @@ def prepare_partition(graph_after: Graph, x_after: np.ndarray, ue, hie,
     neg_split = _by_class(np.concatenate([ue, hie]), predicted, num_classes)
     positives, negatives = [], []
     for a, lab in zip(hie, predicted[hie]):
-        positives.append(_sample_pool(rng, *rest_split[lab], positives_per_anchor))
+        positives.append(_sample_pool(rng, rest_split[lab][0], None, positives_per_anchor))
         same, other = neg_split[lab]
         negatives.append(_sample_pool(rng, same[same != a], other, negatives_per_anchor))
 

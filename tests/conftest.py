@@ -557,7 +557,7 @@ def prepare_partition_loop(graph_after, x_after, ue, hie, original_soft, origina
     neg_split = _by_class(np.concatenate([ue, hie]), predicted, num_classes)
     positives, negatives = [], []
     for a, lab in zip(hie, predicted[hie]):
-        positives.append(_sample_pool(rng, *rest_split[lab], positives_per_anchor))
+        positives.append(_sample_pool(rng, rest_split[lab][0], None, positives_per_anchor))
         same, other = neg_split[lab]
         negatives.append(_sample_pool(rng, same[same != a], other, negatives_per_anchor))
 

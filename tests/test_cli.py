@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphunlearn import cli
 from graphunlearn.cli import main
 from graphunlearn.errors import ConfigError
 from graphunlearn.fileio import FEATURE_MAGIC, load_graph
@@ -460,6 +461,24 @@ def test_config_int_beyond_limit_fails_with_error_line(tmp_path, capsys, stage, 
     err = capsys.readouterr().err
     assert err == f"error=ConfigError {key} must be at most {2 ** 31 - 1}, got {value}\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+class _ArrayMemoryError(MemoryError):
+    """Named like the MemoryError subclass numpy raises on a failed allocation."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_failed_allocation_fails_with_one_memory_error_line(tmp_path, capsys, monkeypatch,
+                                                           error):
+    # a stage that raises stands in for one whose allocation fails, so
+    # nothing is allocated
+    def stage(cfg, out, seed):
+        raise error("unable to allocate 8.00 PiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "train", stage)
+    assert run("train", write_config(tmp_path), tmp_path / "run") == 1
+    assert capsys.readouterr().err == \
+        "error=MemoryError unable to allocate 8.00 PiB for an array\n"
 
 
 @pytest.mark.parametrize("name,data", [

@@ -251,40 +251,48 @@ def test_labels_reject_a_node_listed_twice(tmp_path):
         read_labels(path, 4)
 
 
+def library_nodes(skip: str):
+    """(module file name, AST node) for every node of every library module but skip."""
+    for path in sorted(Path(graphunlearn.__file__).parent.glob("*.py")):
+        if path.name != skip:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.name, node
+
+
 def test_fileio_is_the_only_module_touching_the_disk():
     # every other library module goes through the fileio helpers, so
     # fileio's mapper is the one place an OSError becomes IoError
-    src = Path(graphunlearn.__file__).parent
     disk_methods = {"open", "read_text", "read_bytes", "write_text", "write_bytes",
                     "mkdir", "loadtxt", "savetxt"}
     found = []
-    for path in sorted(src.glob("*.py")):
-        if path.name == "fileio.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-                found += [f"{path.name}:{node.lineno} except {c.id}" for c in caught
-                          if isinstance(c, ast.Name)
-                          and c.id in ("OSError", "IOError", "EnvironmentError")]
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Name) and func.id == "open" or \
-                        isinstance(func, ast.Attribute) and func.attr in disk_methods:
-                    found.append(f"{path.name}:{node.lineno} {ast.unparse(func)}()")
+    for name, node in library_nodes("fileio.py"):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found += [f"{name}:{node.lineno} except {c.id}" for c in caught
+                      if isinstance(c, ast.Name)
+                      and c.id in ("OSError", "IOError", "EnvironmentError")]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open" or \
+                    isinstance(func, ast.Attribute) and func.attr in disk_methods:
+                found.append(f"{name}:{node.lineno} {ast.unparse(func)}()")
     assert found == []
 
 
 def test_graph_is_the_only_module_multiplying_by_the_operator():
     # every product with S outside graph goes through propagate or
     # add_hops, so the series has one hop loop
-    src = Path(graphunlearn.__file__).parent
-    found = []
-    for path in sorted(src.glob("*.py")):
-        if path.name == "graph.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
-                    and isinstance(node.left, ast.Attribute) and node.left.attr == "matrix":
-                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    found = [f"{name}:{node.lineno} {ast.unparse(node)}"
+             for name, node in library_nodes("graph.py")
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+             and isinstance(node.left, ast.Attribute) and node.left.attr == "matrix"]
+    assert found == []
+
+
+def test_graph_is_the_only_module_setting_array_flags():
+    # Graph freezes the arrays it holds and build_graph copies what it is
+    # given, so no other module needs to mark an array read-only for it
+    found = [f"{name}:{node.lineno} {ast.unparse(node)}"
+             for name, node in library_nodes("graph.py")
+             if isinstance(node, ast.Attribute) and node.attr == "setflags"]
     assert found == []

@@ -229,17 +229,44 @@ def test_graph_arrays_are_immutable(path3):
         path3.indices[0] = 2
 
 
+def _view_of_array():
+    base = np.zeros((3, 2))
+    f = base.view()
+    f.setflags(write=False)
+    return f, base.reshape(-1)
+
+
+def _buffer_of_bytearray():
+    base = bytearray(48)
+    return np.frombuffer(memoryview(base).toreadonly()).reshape(3, 2), np.frombuffer(base)
+
+
 def test_build_leaves_the_callers_features_writeable_and_unshared():
     f = np.zeros((3, 2))
     v = f[:, 0]
     g = build_graph(3, [], f, [0, 0, 0], np.ones(3, dtype=bool), np.zeros(3, dtype=bool))
     v[0] = 5.0
     assert f.flags.writeable
+    assert not np.may_share_memory(g.features, f)
     assert g.features[0, 0] == 0.0
-    # a read-only float64 C-contiguous array is kept as it is
+    # a read-only array is copied too
     f.setflags(write=False)
-    assert build_graph(3, [], f, [0, 0, 0], np.ones(3, dtype=bool),
-                       np.zeros(3, dtype=bool)).features is f
+    g = build_graph(3, [], f, [0, 0, 0], np.ones(3, dtype=bool), np.zeros(3, dtype=bool))
+    assert not np.may_share_memory(g.features, f)
+
+
+@pytest.mark.parametrize("make", [_view_of_array, _buffer_of_bytearray],
+                         ids=["read-only-view", "frombuffer-read-only-memoryview"])
+def test_build_copies_a_read_only_view_of_writeable_memory(make):
+    # the view cannot be written, but its base can: a write through the
+    # base must not reach the graph
+    f, base = make()
+    assert not f.flags.writeable and base.flags.writeable
+    g = build_graph(3, [], f, [0, 0, 0], np.ones(3, dtype=bool), np.zeros(3, dtype=bool))
+    assert not np.may_share_memory(g.features, f)
+    base[0] = 5.0
+    assert f[0, 0] == 5.0
+    assert g.features[0, 0] == 0.0
 
 
 # ------------------------------------------------------- normalized adjacency

@@ -417,6 +417,29 @@ def test_partition_matches_loop_oracle_byte_for_byte(monkeypatch, seed):
             assert made[-2].integers(2 ** 62) == made[-1].integers(2 ** 62)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_positives_come_only_from_the_anchors_own_class(seed):
+    # class c - 1 holds only UE and HIE nodes: its anchors get no
+    # positives from other classes and are skipped; every other anchor's
+    # positives share its class
+    g, rng = random_sbm(seed, classes=3)
+    n, c = g.n, g.num_classes
+    train = rng.permutation(g.train_nodes())
+    ue, hie = np.sort(train[:20]), np.sort(train[20:40])
+    predicted = rng.integers(0, c - 1, n)
+    predicted[np.concatenate([ue[:4], hie[:5]])] = c - 1
+    soft = np.eye(c)[predicted] + 0.1
+    soft /= soft.sum(axis=1, keepdims=True)
+    x = rng.standard_normal((n, g.num_features))
+    part = prepare_partition(g, x, ue, hie, soft, init_model(g.num_features, 4, c, seed),
+                             x, positives_per_anchor=4, negatives_per_anchor=4, seed=seed)
+    for a, pos in zip(hie, part.positives):
+        assert (predicted[pos] == predicted[a]).all()
+        assert (pos.size == 0) == (predicted[a] == c - 1)
+    assert np.array_equal(hie[np.isin(part.hie_at, part.anchor)],
+                          hie[predicted[hie] != c - 1])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_gather_matches_loop_oracle_on_ragged_samples(seed):
     # prepare_partition draws rows of one width; _gather takes any widths,
